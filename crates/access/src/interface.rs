@@ -26,6 +26,15 @@ pub trait SocialNetwork {
         Ok(self.neighbors(v)?.len())
     }
 
+    /// Charges the query for `v` that [`neighbors`](Self::neighbors) would,
+    /// for a caller that already holds the answer. The default issues the
+    /// query; a metering view overrides it to charge its own counters
+    /// without touching the wrapped network. This is how a walker pays for
+    /// the crawl another walker of its job already fetched.
+    fn charge(&self, v: NodeId) -> Result<()> {
+        self.neighbors(v).map(drop)
+    }
+
     /// Reads a numeric attribute of a node the caller has sampled (e.g. its
     /// star rating or self-description word count). Attribute reads target a
     /// profile page already retrieved and are not charged as extra queries.
@@ -76,6 +85,9 @@ impl<N: SocialNetwork + ?Sized> SocialNetwork for &N {
     fn degree(&self, v: NodeId) -> Result<usize> {
         (**self).degree(v)
     }
+    fn charge(&self, v: NodeId) -> Result<()> {
+        (**self).charge(v)
+    }
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         (**self).attribute(name, v)
     }
@@ -101,6 +113,9 @@ impl<N: SocialNetwork + ?Sized> SocialNetwork for std::sync::Arc<N> {
     }
     fn degree(&self, v: NodeId) -> Result<usize> {
         (**self).degree(v)
+    }
+    fn charge(&self, v: NodeId) -> Result<()> {
+        (**self).charge(v)
     }
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         (**self).attribute(name, v)

@@ -66,22 +66,43 @@ impl<N: SocialNetwork> MeteredNetwork<N> {
     }
 }
 
+impl<N: SocialNetwork> MeteredNetwork<N> {
+    /// Fails if charging `v` would exceed this view's budget.
+    fn check_budget(&self, v: NodeId) -> Result<()> {
+        if !self.counter.is_visited(v) && self.counter.remaining() == 0 {
+            return Err(crate::AccessError::BudgetExhausted {
+                budget: self.counter.budget().0,
+            });
+        }
+        Ok(())
+    }
+
+    fn record(&self, v: NodeId) {
+        self.counter
+            .record_neighbor_query(v)
+            .expect("budget was checked before the charge");
+    }
+}
+
 impl<N: SocialNetwork> SocialNetwork for MeteredNetwork<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
         // Enforce this view's budget *before* issuing the inner query, but
         // record the charge only *after* it succeeds: a failed query (rate
         // limit, unknown node) must not consume budget or mark the node as
         // visited, or a later successful retry would be mis-counted as free.
-        if !self.counter.is_visited(v) && self.counter.remaining() == 0 {
-            return Err(crate::AccessError::BudgetExhausted {
-                budget: self.counter.budget().0,
-            });
-        }
+        self.check_budget(v)?;
         let list = self.inner.neighbors(v)?;
-        self.counter
-            .record_neighbor_query(v)
-            .expect("budget was checked before the inner query");
+        self.record(v);
         Ok(list)
+    }
+
+    /// Charges `v` to this view exactly as [`neighbors`](Self::neighbors)
+    /// would (same budget check, same counters) without querying the
+    /// wrapped network, which is never told.
+    fn charge(&self, v: NodeId) -> Result<()> {
+        self.check_budget(v)?;
+        self.record(v);
+        Ok(())
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
@@ -167,6 +188,26 @@ mod tests {
             view.neighbors(NodeId(2)),
             Err(AccessError::BudgetExhausted { budget: 2 })
         ));
+    }
+
+    #[test]
+    fn charge_meters_like_neighbors_without_touching_the_inner_network() {
+        let cache = CachedNetwork::new(SimulatedOsn::new(complete(6)));
+        let queried = MeteredNetwork::with_budget(&cache, QueryBudget(2));
+        let charged = MeteredNetwork::with_budget(&cache, QueryBudget(2));
+        for v in [0, 1, 1, 2] {
+            let a = queried.neighbors(NodeId(v)).map(drop);
+            let b = charged.charge(NodeId(v));
+            assert_eq!(a, b, "node {v}");
+        }
+        assert!(matches!(
+            charged.charge(NodeId(3)),
+            Err(AccessError::BudgetExhausted { budget: 2 })
+        ));
+        assert_eq!(charged.query_stats(), queried.query_stats());
+        assert_eq!(charged.query_stats().unique_nodes, 2);
+        // Only the queried view reached the cache.
+        assert_eq!(cache.query_stats().api_calls, 3);
     }
 
     #[test]

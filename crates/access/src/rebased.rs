@@ -48,6 +48,10 @@ impl<N: SocialNetwork> SocialNetwork for Rebased<N> {
         self.inner.degree(v)
     }
 
+    fn charge(&self, v: NodeId) -> Result<()> {
+        self.inner.charge(v)
+    }
+
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         self.inner.attribute(name, v)
     }

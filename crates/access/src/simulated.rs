@@ -35,7 +35,9 @@ pub struct SimulatedOsn {
     /// function of `(node, how often this node was fetched)`: under
     /// concurrent access the first fetch of each node is identical whatever
     /// the thread interleaving, so a cache layer freezing first responses
-    /// (`CachedNetwork`) stays deterministic at any thread count.
+    /// (`CachedNetwork`) stays deterministic at any thread count. Kept only
+    /// under [`NeighborRestriction::RandomSubset`], the one restriction that
+    /// reads the index; under every other restriction it stays empty.
     fetch_counts: Arc<Mutex<std::collections::HashMap<NodeId, u64>>>,
     /// Cached restricted views for the bidirectional-edge check, so the check
     /// itself does not inflate the query cost (the crawler already has both
@@ -98,12 +100,17 @@ impl SimulatedOsn {
             self.counter.record_neighbor_query(v)?;
             self.limiter.record_call();
         }
-        let invocation = {
-            let mut counts = lock(&self.fetch_counts);
-            let entry = counts.entry(v).or_insert(0);
-            let current = *entry;
-            *entry += 1;
-            current
+        // Only a random subset varies per invocation; every other
+        // restriction ignores the index, so it is neither counted nor stored.
+        let invocation = match self.restriction {
+            NeighborRestriction::RandomSubset { .. } => {
+                let mut counts = lock(&self.fetch_counts);
+                let entry = counts.entry(v).or_insert(0);
+                let current = *entry;
+                *entry += 1;
+                current
+            }
+            _ => 0,
         };
         let full = self.graph.neighbors(v);
         let restricted = self
@@ -318,6 +325,30 @@ mod tests {
         for v in [NodeId(0), NodeId(1), NodeId(2)] {
             assert!(osn.neighbors(v).unwrap().len() <= 3);
         }
+    }
+
+    #[test]
+    fn fetch_counts_are_kept_only_for_random_subsets() {
+        let g = barabasi_albert(100, 5, 3).unwrap();
+        for restriction in [
+            NeighborRestriction::Full,
+            NeighborRestriction::FixedSubset { k: 3 },
+            NeighborRestriction::Truncated { l: 3 },
+        ] {
+            let osn = SimulatedOsn::builder(g.clone())
+                .restriction(restriction)
+                .build();
+            for v in 0..100 {
+                osn.neighbors(NodeId(v)).unwrap();
+            }
+            assert!(lock(&osn.fetch_counts).is_empty(), "{restriction:?}");
+        }
+        let osn = SimulatedOsn::builder(g)
+            .restriction(NeighborRestriction::RandomSubset { k: 3 })
+            .build();
+        osn.neighbors(NodeId(0)).unwrap();
+        osn.neighbors(NodeId(0)).unwrap();
+        assert_eq!(lock(&osn.fetch_counts).get(&NodeId(0)), Some(&2));
     }
 
     #[test]

@@ -12,25 +12,33 @@
 //! drops to `h`, replacing the noisiest tail of the recursion (the part
 //! whose variance UNBIASED-ESTIMATE amplifies the most) with an exact value.
 //!
-//! The crawl's queries are charged like any other query; in practice they are
-//! cheap because the WALK step keeps revisiting the same starting
-//! neighborhood, so most of these nodes are already cached (Section 5.2).
+//! The crawl is built once per job, through a [`CrawlSlot`], and charged to
+//! every walker: one walker queries the neighborhood, and each of the others
+//! is charged the same nodes in the same order without querying them again.
+//! Sums run in BFS order, so every build is bit-identical.
 
+use crate::config::WalkEstimateConfig;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+use wnw_access::sync::lock;
 use wnw_access::{Result, SocialNetwork};
 use wnw_graph::NodeId;
 use wnw_mcmc::RandomWalkKind;
 
 /// Exact sampling probabilities within the `h`-hop neighborhood of a start
-/// node.
+/// node, as a dense table over the crawled nodes in BFS order.
 #[derive(Debug, Clone)]
 pub struct InitialCrawl {
     start: NodeId,
     depth: usize,
-    /// `probabilities[t]` maps node → exact `p_t(node)`, for `t ≤ depth`.
-    probabilities: Vec<HashMap<NodeId, f64>>,
-    /// Degrees of every crawled node (handy for callers and tests).
-    degrees: HashMap<NodeId, usize>,
+    /// Crawled nodes in BFS order, which is also the order they were queried.
+    order: Vec<NodeId>,
+    /// Node → its position in `order`.
+    index: HashMap<NodeId, u32>,
+    /// `degrees[i]` is the degree of `order[i]`.
+    degrees: Vec<usize>,
+    /// `probabilities[t][i]` is the exact `p_t(order[i])`, for `t ≤ depth`.
+    probabilities: Vec<Vec<f64>>,
 }
 
 impl InitialCrawl {
@@ -43,62 +51,60 @@ impl InitialCrawl {
         start: NodeId,
         depth: usize,
     ) -> Result<Self> {
-        // Breadth-first crawl up to `depth`, keeping each node's neighbor
-        // list so transition probabilities can be computed exactly.
-        let mut dist: HashMap<NodeId, usize> = HashMap::new();
-        let mut adjacency: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        let mut queue = std::collections::VecDeque::new();
-        dist.insert(start, 0);
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[&u];
-            let neighbors = osn.neighbors(u)?;
-            for &v in &neighbors {
-                if du < depth && !dist.contains_key(&v) {
-                    dist.insert(v, du + 1);
-                    queue.push_back(v);
-                }
+        // Breadth-first crawl, one level at a time. Nodes at depth < h keep
+        // their neighbor lists, as positions in `order`, for the propagation
+        // below; the nodes at depth h come last and need only a degree.
+        let mut order = vec![start];
+        let mut index = HashMap::from([(start, 0u32)]);
+        let mut adjacency: Vec<Vec<u32>> = Vec::new();
+        for _ in 0..depth {
+            for u in adjacency.len()..order.len() {
+                let neighbors = osn.neighbors(order[u])?.into_iter().map(|v| {
+                    let next = order.len() as u32;
+                    *index.entry(v).or_insert_with(|| {
+                        order.push(v);
+                        next
+                    })
+                });
+                adjacency.push(neighbors.collect());
             }
-            adjacency.insert(u, neighbors);
         }
-        let degrees: HashMap<NodeId, usize> =
-            adjacency.iter().map(|(&v, nbrs)| (v, nbrs.len())).collect();
+        let mut degrees: Vec<usize> = adjacency.iter().map(Vec::len).collect();
+        for &v in &order[adjacency.len()..] {
+            degrees.push(osn.degree(v)?);
+        }
 
-        // Forward propagation of exact probabilities for t = 0..=depth.
-        let mut probabilities: Vec<HashMap<NodeId, f64>> = Vec::with_capacity(depth + 1);
-        let mut current: HashMap<NodeId, f64> = HashMap::new();
-        current.insert(start, 1.0);
-        probabilities.push(current.clone());
-        for _t in 1..=depth {
-            let mut next: HashMap<NodeId, f64> = HashMap::new();
-            for (&u, &mass) in &current {
-                let neighbors = &adjacency[&u];
-                let du = neighbors.len();
-                if du == 0 {
-                    *next.entry(u).or_insert(0.0) += mass;
-                    continue;
-                }
+        // Forward propagation of exact probabilities for t = 0..=depth. Mass
+        // at step t - 1 < h sits on nodes at depth < h only, and each
+        // target sums its contributions in BFS order of their sources.
+        let mut probabilities = vec![vec![0.0; order.len()]];
+        probabilities[0][0] = 1.0;
+        for t in 1..=depth {
+            let current = &probabilities[t - 1];
+            let mut next = vec![0.0; order.len()];
+            for (u, neighbors) in adjacency.iter().enumerate() {
+                let mass = current[u];
+                let du = degrees[u];
                 let mut outgoing = 0.0;
                 for &v in neighbors {
-                    // v is within `depth` hops, so its degree is known.
-                    let dv = degrees[&v];
-                    let p = kind.edge_probability(du, dv);
+                    let p = kind.edge_probability(du, degrees[v as usize]);
                     outgoing += p;
-                    *next.entry(v).or_insert(0.0) += mass * p;
+                    next[v as usize] += mass * p;
                 }
                 let self_loop = (1.0 - outgoing).max(0.0);
                 if self_loop > 0.0 {
-                    *next.entry(u).or_insert(0.0) += mass * self_loop;
+                    next[u] += mass * self_loop;
                 }
             }
-            probabilities.push(next.clone());
-            current = next;
+            probabilities.push(next);
         }
         Ok(InitialCrawl {
             start,
             depth,
-            probabilities,
+            order,
+            index,
             degrees,
+            probabilities,
         })
     }
 
@@ -123,22 +129,63 @@ impl InitialCrawl {
             "crawl only covers probabilities up to t = {}",
             self.depth
         );
-        self.probabilities[t].get(&v).copied().unwrap_or(0.0)
+        self.index
+            .get(&v)
+            .map_or(0.0, |&i| self.probabilities[t][i as usize])
     }
 
     /// Whether `v` was reached by the crawl.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.degrees.contains_key(&v)
+        self.index.contains_key(&v)
     }
 
     /// Number of crawled nodes.
     pub fn crawled_nodes(&self) -> usize {
-        self.degrees.len()
+        self.order.len()
     }
 
     /// Degree of a crawled node, if known.
     pub fn degree(&self, v: NodeId) -> Option<usize> {
-        self.degrees.get(&v).copied()
+        self.index.get(&v).map(|&i| self.degrees[i as usize])
+    }
+}
+
+/// One job's initial crawl, shared by all of its walkers (of one start, walk
+/// design and depth). A standalone sampler owns a private slot.
+#[derive(Debug, Default)]
+pub struct CrawlSlot(Mutex<Option<Arc<InitialCrawl>>>);
+
+impl CrawlSlot {
+    /// The initial crawl `config` asks for around `start` (`None` if none),
+    /// charged to `osn`. The first caller builds and stores it; every later
+    /// caller [charges](SocialNetwork::charge) its nodes to its own `osn` in
+    /// BFS order, so its counters and budget stop where its own build would
+    /// have. A failed build leaves the slot empty for the next caller.
+    pub fn acquire<N: SocialNetwork + ?Sized>(
+        &self,
+        osn: &N,
+        kind: RandomWalkKind,
+        start: NodeId,
+        config: &WalkEstimateConfig,
+    ) -> Result<Option<Arc<InitialCrawl>>> {
+        let depth = config.crawl_depth;
+        if !config.variant.uses_crawl() || depth == 0 {
+            return Ok(None);
+        }
+        // The build runs under the lock, so a concurrent walker waits for
+        // the crawl instead of building it a second time.
+        let mut slot = lock(&self.0);
+        if let Some(crawl) = slot.clone() {
+            drop(slot);
+            debug_assert_eq!((crawl.start, crawl.depth), (start, depth));
+            for &v in &crawl.order {
+                osn.charge(v)?;
+            }
+            return Ok(Some(crawl));
+        }
+        let crawl = Arc::new(InitialCrawl::build(osn, kind, start, depth)?);
+        *slot = Some(Arc::clone(&crawl));
+        Ok(Some(crawl))
     }
 }
 
@@ -197,6 +244,27 @@ mod tests {
                 };
                 assert!((got - exact[v.index()]).abs() < 1e-12, "t={t} v={v}");
             }
+        }
+    }
+
+    #[test]
+    fn crawl_probabilities_are_bit_identical_across_threads() {
+        let graph = barabasi_albert(5_000, 3, 23).unwrap();
+        for kind in [RandomWalkKind::Simple, RandomWalkKind::MetropolisHastings] {
+            let build = || {
+                let osn = SimulatedOsn::new(graph.clone());
+                std::thread::spawn(move || InitialCrawl::build(&osn, kind, NodeId(0), 2).unwrap())
+            };
+            let (a, b) = (build(), build());
+            let (a, b) = (a.join().unwrap(), b.join().unwrap());
+            let bits = |crawl: &InitialCrawl| {
+                let p_t = crawl.probabilities.iter().flatten();
+                (
+                    crawl.order.clone(),
+                    p_t.map(|p| p.to_bits()).collect::<Vec<_>>(),
+                )
+            };
+            assert_eq!(bits(&a), bits(&b), "{kind:?}");
         }
     }
 

@@ -19,5 +19,5 @@ pub mod estimator;
 pub mod unbiased;
 pub mod weighted;
 
-pub use crawl::InitialCrawl;
+pub use crawl::{CrawlSlot, InitialCrawl};
 pub use estimator::{ProbabilityEstimate, ProbabilityEstimator};

@@ -58,7 +58,7 @@ pub mod sampler;
 pub mod walk;
 
 pub use config::{WalkEstimateConfig, WalkEstimateVariant};
-pub use estimate::estimator::ProbabilityEstimator;
+pub use estimate::{CrawlSlot, ProbabilityEstimator};
 pub use history::{
     FrozenHistory, HistoryHandle, HistoryKey, HistoryStore, HistoryStoreStats, HistoryView,
     OverlayHistory, ReuseCorrection, SharedWalkHistory, WalkHistory,

@@ -19,14 +19,10 @@
 //! the short walk in the first place.
 
 use crate::config::WalkEstimateConfig;
-use crate::estimate::crawl::InitialCrawl;
-use crate::estimate::estimator::ProbabilityEstimator;
 use crate::history::WalkHistory;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::sampler::Corrector;
 use wnw_access::{Result, SocialNetwork};
 use wnw_graph::NodeId;
-use wnw_mcmc::rejection::acceptance_probability;
 use wnw_mcmc::sampler::{SampleRecord, Sampler};
 use wnw_mcmc::transition::{RandomWalkKind, TargetDistribution};
 use wnw_mcmc::walker;
@@ -35,15 +31,9 @@ use wnw_mcmc::walker;
 /// individually corrected to the target distribution.
 pub struct WalkEstimateLongRunSampler<N: SocialNetwork> {
     osn: N,
-    kind: RandomWalkKind,
-    config: WalkEstimateConfig,
-    start: NodeId,
     walk_length: usize,
-    estimator: ProbabilityEstimator,
-    crawl: Option<InitialCrawl>,
+    corrector: Corrector,
     history: WalkHistory,
-    observed_ratios: Vec<f64>,
-    rng: StdRng,
     current: NodeId,
     /// Absolute step index of `current` within the continuing walk.
     step: usize,
@@ -55,19 +45,11 @@ impl<N: SocialNetwork> WalkEstimateLongRunSampler<N> {
     /// Creates a sampler starting from `osn.seed_node()`.
     pub fn new(osn: N, kind: RandomWalkKind, config: WalkEstimateConfig, seed: u64) -> Self {
         let start = osn.seed_node();
-        let walk_length = config.walk_length.resolve(None);
-        let estimator = ProbabilityEstimator::from_config(kind, &config);
         WalkEstimateLongRunSampler {
             osn,
-            kind,
-            config,
-            start,
-            walk_length,
-            estimator,
-            crawl: None,
+            walk_length: config.walk_length.resolve(None),
+            corrector: Corrector::new(kind, config, start, seed),
             history: WalkHistory::new(),
-            observed_ratios: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
             current: start,
             step: 0,
             path: vec![start],
@@ -76,7 +58,7 @@ impl<N: SocialNetwork> WalkEstimateLongRunSampler<N> {
 
     /// Re-resolves the walk length with a concrete diameter estimate.
     pub fn with_diameter_estimate(mut self, diameter: usize) -> Self {
-        self.walk_length = self.config.walk_length.resolve(Some(diameter));
+        self.walk_length = self.corrector.config.walk_length.resolve(Some(diameter));
         self
     }
 
@@ -90,18 +72,6 @@ impl<N: SocialNetwork> WalkEstimateLongRunSampler<N> {
         self.step
     }
 
-    fn ensure_crawl(&mut self) -> Result<()> {
-        if self.config.variant.uses_crawl() && self.crawl.is_none() && self.config.crawl_depth > 0 {
-            self.crawl = Some(InitialCrawl::build(
-                &self.osn,
-                self.kind,
-                self.start,
-                self.config.crawl_depth,
-            )?);
-        }
-        Ok(())
-    }
-
     /// The walk length whose distribution is used to price the candidate at
     /// the current absolute step: capped at `2 × walk_length` because the
     /// distribution barely moves after that (the diminishing-returns
@@ -113,13 +83,14 @@ impl<N: SocialNetwork> WalkEstimateLongRunSampler<N> {
 
 impl<N: SocialNetwork> Sampler for WalkEstimateLongRunSampler<N> {
     fn draw(&mut self) -> Result<SampleRecord> {
-        self.ensure_crawl()?;
+        self.corrector.ensure_crawl(&self.osn)?;
         let mut attempts: u32 = 0;
         loop {
             attempts += 1;
             // Advance the continuing walk by one step and consider the new
             // position a candidate.
-            self.current = walker::step(&self.osn, self.kind, self.current, &mut self.rng)?;
+            let c = &mut self.corrector;
+            self.current = walker::step(&self.osn, c.kind, self.current, &mut c.rng)?;
             self.step += 1;
             self.path.push(self.current);
             // Feed the weighted-sampling history with the prefix that matters
@@ -128,47 +99,14 @@ impl<N: SocialNetwork> Sampler for WalkEstimateLongRunSampler<N> {
                 self.history.record_walk(&self.path);
             }
 
-            let t = self.effective_walk_length();
-            let history: Option<&dyn crate::history::HistoryView> =
-                if self.config.variant.uses_weighted_sampling() {
-                    Some(&self.history)
-                } else {
-                    None
-                };
             // For steps beyond the cap the walk no longer starts at `start`
             // from the estimator's point of view; the estimate of p_t is
             // performed against the *original* start, which stays valid
             // because the distribution after the cap changes negligibly.
-            let estimate = self.estimator.estimate_single(
-                &self.osn,
-                self.current,
-                self.start,
-                t,
-                self.crawl.as_ref(),
-                history,
-                &mut self.rng,
-            )?;
-            let degree = self.osn.degree(self.current)?;
-            let target_weight = self.kind.target().weight(degree);
-            // Same bound as the short-run sampler: the percentile bootstrap
-            // stabilises after a few thousand ratios.
-            const MAX_OBSERVED_RATIOS: usize = 4096;
-            if estimate.probability > 0.0
-                && target_weight > 0.0
-                && self.observed_ratios.len() < MAX_OBSERVED_RATIOS
-            {
-                self.observed_ratios
-                    .push(estimate.probability / target_weight);
-            }
-            let scale = self.config.scaling_factor.resolve(&self.observed_ratios);
-            let accept = match scale {
-                None => true,
-                Some(scale) => {
-                    let beta = acceptance_probability(estimate.probability, target_weight, scale);
-                    self.rng.gen::<f64>() < beta
-                }
-            };
-            if accept || attempts >= self.config.max_attempts_per_sample {
+            let t = self.effective_walk_length();
+            let c = &mut self.corrector;
+            let accept = c.accept(&self.osn, self.current, t, &self.history)?;
+            if accept || attempts >= c.config.max_attempts_per_sample {
                 return Ok(SampleRecord {
                     node: self.current,
                     query_cost: self.osn.query_cost(),
@@ -179,15 +117,12 @@ impl<N: SocialNetwork> Sampler for WalkEstimateLongRunSampler<N> {
     }
 
     fn target(&self) -> TargetDistribution {
-        self.kind.target()
+        self.corrector.kind.target()
     }
 
     fn name(&self) -> String {
-        format!(
-            "{}-long-run({})",
-            self.config.variant.label(),
-            self.kind.name()
-        )
+        let c = &self.corrector;
+        format!("{}-long-run({})", c.config.variant.label(), c.kind.name())
     }
 }
 

@@ -17,7 +17,7 @@
 //! progresses.
 
 use crate::config::{WalkEstimateConfig, WalkEstimateVariant};
-use crate::estimate::crawl::InitialCrawl;
+use crate::estimate::crawl::{CrawlSlot, InitialCrawl};
 use crate::estimate::estimator::ProbabilityEstimator;
 use crate::history::{
     FrozenHistory, HistoryHandle, HistoryView, ReuseCorrection, SharedWalkHistory,
@@ -37,15 +37,9 @@ use wnw_mcmc::walker;
 /// target distribution at a lower query cost.
 pub struct WalkEstimateSampler<N: SocialNetwork> {
     osn: N,
-    kind: RandomWalkKind,
-    config: WalkEstimateConfig,
-    start: NodeId,
     walk_length: usize,
-    estimator: ProbabilityEstimator,
-    crawl: Option<InitialCrawl>,
+    corrector: Corrector,
     history: HistoryHandle,
-    observed_ratios: Vec<f64>,
-    rng: StdRng,
     /// Total forward walks performed (accepted + rejected candidates).
     forward_walks: u64,
 }
@@ -54,28 +48,19 @@ impl<N: SocialNetwork> WalkEstimateSampler<N> {
     /// Creates a sampler starting from `osn.seed_node()` with the walk length
     /// resolved from the policy's assumed diameter bound.
     pub fn new(osn: N, kind: RandomWalkKind, config: WalkEstimateConfig, seed: u64) -> Self {
-        let start = osn.seed_node();
-        let walk_length = config.walk_length.resolve(None);
-        let estimator = ProbabilityEstimator::from_config(kind, &config);
         WalkEstimateSampler {
+            walk_length: config.walk_length.resolve(None),
+            corrector: Corrector::new(kind, config, osn.seed_node(), seed),
             osn,
-            kind,
-            config,
-            start,
-            walk_length,
-            estimator,
-            crawl: None,
             history: HistoryHandle::default(),
-            observed_ratios: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
             forward_walks: 0,
         }
     }
 
-    /// Overrides the starting node (also the crawl centre).
-    pub fn with_start(mut self, start: NodeId) -> Self {
-        self.start = start;
-        self.crawl = None;
+    /// Shares the initial crawl with every sampler on `slot`, which must
+    /// all have this sampler's start, walk design and crawl depth.
+    pub fn with_crawl_slot(mut self, slot: Arc<CrawlSlot>) -> Self {
+        self.corrector.crawl_slot = slot;
         self
     }
 
@@ -117,7 +102,7 @@ impl<N: SocialNetwork> WalkEstimateSampler<N> {
     /// Re-resolves the walk length with a concrete diameter estimate
     /// (e.g. `7` for the paper's Google Plus experiments).
     pub fn with_diameter_estimate(mut self, diameter: usize) -> Self {
-        self.walk_length = self.config.walk_length.resolve(Some(diameter));
+        self.walk_length = self.corrector.config.walk_length.resolve(Some(diameter));
         self
     }
 
@@ -138,84 +123,116 @@ impl<N: SocialNetwork> WalkEstimateSampler<N> {
 
     /// The configured variant (WE / WE-None / WE-Crawl / WE-Weighted).
     pub fn variant(&self) -> WalkEstimateVariant {
-        self.config.variant
+        self.corrector.config.variant
+    }
+}
+
+/// The ESTIMATE and acceptance-rejection steps both WALK-ESTIMATE samplers
+/// run on every candidate, with the state they keep between draws: the
+/// initial crawl, the observed ratios the scale is bootstrapped from, and
+/// the RNG stream (which the forward walks share).
+pub(crate) struct Corrector {
+    pub(crate) kind: RandomWalkKind,
+    pub(crate) config: WalkEstimateConfig,
+    pub(crate) start: NodeId,
+    estimator: ProbabilityEstimator,
+    crawl_slot: Arc<CrawlSlot>,
+    crawl: Option<Arc<InitialCrawl>>,
+    observed_ratios: Vec<f64>,
+    pub(crate) rng: StdRng,
+}
+
+impl Corrector {
+    pub(crate) fn new(
+        kind: RandomWalkKind,
+        config: WalkEstimateConfig,
+        start: NodeId,
+        seed: u64,
+    ) -> Self {
+        Corrector {
+            kind,
+            estimator: ProbabilityEstimator::from_config(kind, &config),
+            config,
+            start,
+            crawl_slot: Arc::default(),
+            crawl: None,
+            observed_ratios: Vec::new(),
+            rng: StdRng::seed_from_u64(seed),
+        }
     }
 
-    fn ensure_crawl(&mut self) -> Result<()> {
-        if self.config.variant.uses_crawl() && self.crawl.is_none() && self.config.crawl_depth > 0 {
-            self.crawl = Some(InitialCrawl::build(
-                &self.osn,
-                self.kind,
-                self.start,
-                self.config.crawl_depth,
-            )?);
+    /// Takes the initial crawl on the first draw, before its first query.
+    pub(crate) fn ensure_crawl<N: SocialNetwork>(&mut self, osn: &N) -> Result<()> {
+        if self.crawl.is_none() {
+            self.crawl = self
+                .crawl_slot
+                .acquire(osn, self.kind, self.start, &self.config)?;
         }
         Ok(())
+    }
+
+    /// Estimates `p_t(candidate)` (the estimator reads `history` only under
+    /// weighted sampling) and accepts the candidate with probability
+    /// `β = (q̃ / p̂_t) · scale`, the scale bootstrapped from the ratios so far.
+    pub(crate) fn accept<N: SocialNetwork>(
+        &mut self,
+        osn: &N,
+        candidate: NodeId,
+        t: usize,
+        history: &dyn HistoryView,
+    ) -> Result<bool> {
+        let crawl = self.crawl.as_deref();
+        let estimate = self.estimator.estimate_single(
+            osn,
+            candidate,
+            self.start,
+            t,
+            crawl,
+            Some(history),
+            &mut self.rng,
+        )?;
+        let probability = estimate.probability;
+        let target_weight = self.kind.target().weight(osn.degree(candidate)?);
+        // The percentile bootstrap re-sorts the observed ratios on every
+        // draw; once a few thousand ratios have been collected the
+        // percentile is stable, so stop growing the vector (keeps a long
+        // sampling run linear instead of quadratic in the sample count).
+        const MAX_OBSERVED_RATIOS: usize = 4096;
+        if probability > 0.0
+            && target_weight > 0.0
+            && self.observed_ratios.len() < MAX_OBSERVED_RATIOS
+        {
+            self.observed_ratios.push(probability / target_weight);
+        }
+        let Some(scale) = self.config.scaling_factor.resolve(&self.observed_ratios) else {
+            // Until any ratio has been observed there is nothing to correct
+            // against; accept the first candidate.
+            return Ok(true);
+        };
+        let beta = acceptance_probability(probability, target_weight, scale);
+        Ok(self.rng.gen::<f64>() < beta)
     }
 }
 
 impl<N: SocialNetwork> Sampler for WalkEstimateSampler<N> {
     fn draw(&mut self) -> Result<SampleRecord> {
-        self.ensure_crawl()?;
+        self.corrector.ensure_crawl(&self.osn)?;
+        let c = &mut self.corrector;
         let mut attempts: u32 = 0;
         loop {
             attempts += 1;
             // WALK: a short forward walk to a candidate node.
-            let walk = walker::random_walk(
-                &self.osn,
-                self.kind,
-                self.start,
-                self.walk_length,
-                &mut self.rng,
-            )?;
+            let walk =
+                walker::random_walk(&self.osn, c.kind, c.start, self.walk_length, &mut c.rng)?;
             self.forward_walks += 1;
             self.history.record_walk(&walk.path);
             let candidate = walk.current();
 
-            // ESTIMATE: the candidate's sampling probability p_t(candidate).
-            let history_view = self.history.view();
-            let history: Option<&dyn HistoryView> = if self.config.variant.uses_weighted_sampling()
-            {
-                Some(&history_view)
-            } else {
-                None
-            };
-            let estimate = self.estimator.estimate_single(
-                &self.osn,
-                candidate,
-                self.start,
-                self.walk_length,
-                self.crawl.as_ref(),
-                history,
-                &mut self.rng,
-            )?;
-
-            // Rejection sampling toward the input walk's target distribution.
-            let degree = self.osn.degree(candidate)?;
-            let target_weight = self.kind.target().weight(degree);
-            let probability = estimate.probability;
-            // The percentile bootstrap re-sorts the observed ratios on every
-            // draw; once a few thousand ratios have been collected the
-            // percentile is stable, so stop growing the vector (keeps a long
-            // sampling run linear instead of quadratic in the sample count).
-            const MAX_OBSERVED_RATIOS: usize = 4096;
-            if probability > 0.0
-                && target_weight > 0.0
-                && self.observed_ratios.len() < MAX_OBSERVED_RATIOS
-            {
-                self.observed_ratios.push(probability / target_weight);
-            }
-            let scale = self.config.scaling_factor.resolve(&self.observed_ratios);
-            let accept = match scale {
-                // Until any ratio has been observed there is nothing to
-                // correct against; accept the first candidate.
-                None => true,
-                Some(scale) => {
-                    let beta = acceptance_probability(probability, target_weight, scale);
-                    self.rng.gen::<f64>() < beta
-                }
-            };
-            if accept || attempts >= self.config.max_attempts_per_sample {
+            // ESTIMATE, then rejection sampling toward the input walk's
+            // target distribution.
+            let history = self.history.view();
+            let accept = c.accept(&self.osn, candidate, self.walk_length, &history)?;
+            if accept || attempts >= c.config.max_attempts_per_sample {
                 return Ok(SampleRecord {
                     node: candidate,
                     query_cost: self.osn.query_cost(),
@@ -226,11 +243,12 @@ impl<N: SocialNetwork> Sampler for WalkEstimateSampler<N> {
     }
 
     fn target(&self) -> TargetDistribution {
-        self.kind.target()
+        self.corrector.kind.target()
     }
 
     fn name(&self) -> String {
-        format!("{}({})", self.config.variant.label(), self.kind.name())
+        let c = &self.corrector;
+        format!("{}({})", c.config.variant.label(), c.kind.name())
     }
 
     fn flush_shared_state(&mut self) {

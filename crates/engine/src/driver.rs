@@ -13,11 +13,13 @@
 //!
 //! Determinism of a round: draws touch only (a) the walker's own state and
 //! RNG stream, (b) the cache handle — whose answers are a pure function of
-//! the node asked — and (c) the shared-history snapshot frozen for the
-//! round. The flush phase merges pending walks by *adding* per-(node, step)
-//! counts, which is commutative and associative, so the snapshot for the
-//! next round does not depend on the order walkers flushed in — nor on how
-//! many OS threads carried the draws.
+//! the node asked — (c) the job's crawl slot, whose crawl is a pure function
+//! of (start, kind, depth) read through that handle, whichever walker built
+//! it, and (d) the shared-history snapshot frozen for the round. The flush
+//! phase merges pending walks by *adding* per-(node, step) counts, which is
+//! commutative and associative, so the snapshot for the next round does not
+//! depend on the order walkers flushed in — nor on how many OS threads
+//! carried the draws.
 
 use crate::job::{HistoryMode, SampleJob, SamplerSpec};
 use crate::report::WalkerReport;
@@ -29,6 +31,7 @@ use wnw_access::rebased::Rebased;
 use wnw_access::AccessError;
 use wnw_core::history::{FrozenHistory, ReuseCorrection, SharedWalkHistory, WalkHistory};
 use wnw_core::sampler::WalkEstimateSampler;
+use wnw_core::CrawlSlot;
 use wnw_mcmc::burn_in::{ManyShortRunsSampler, OneLongRunSampler};
 use wnw_mcmc::sampler::{SampleRecord, Sampler};
 use wnw_runtime::WorkerPool;
@@ -145,6 +148,7 @@ impl<'a> JobDriver<'a> {
             && job.spec.uses_shared_history())
         .then(SharedWalkHistory::shared);
         let seed_history = shared_history.is_some().then_some(seed_history).flatten();
+        let crawl_slot = Arc::new(CrawlSlot::default());
         let walkers = (0..job.walkers)
             .map(|w| {
                 build_walker(
@@ -152,6 +156,7 @@ impl<'a> JobDriver<'a> {
                     job,
                     shared_history.clone(),
                     seed_history.clone(),
+                    Arc::clone(&crawl_slot),
                     w,
                 )
             })
@@ -314,12 +319,14 @@ impl std::fmt::Debug for JobDriver<'_> {
 
 /// Builds the sampler stack of one virtual walker: a per-walker metered
 /// (and budgeted) view over the shared cache handle, the spec'd sampler on
-/// top, seeded with the walker's own RNG stream.
+/// top, seeded with the walker's own RNG stream. WALK-ESTIMATE walkers share
+/// the job's `crawl_slot`, so the job crawls its start once.
 fn build_walker<'a, C>(
     cache: C,
     job: &SampleJob,
     shared_history: Option<Arc<SharedWalkHistory>>,
     seed_history: Option<(Arc<FrozenHistory>, ReuseCorrection)>,
+    crawl_slot: Arc<CrawlSlot>,
     walker: usize,
 ) -> WalkerState<'a>
 where
@@ -336,7 +343,8 @@ where
     let seed = job.seed_of(walker);
     let sampler: Box<dyn Sampler + Send + 'a> = match job.spec {
         SamplerSpec::WalkEstimate { input, config } => {
-            let mut sampler = WalkEstimateSampler::new(metered, input, config, seed);
+            let mut sampler =
+                WalkEstimateSampler::new(metered, input, config, seed).with_crawl_slot(crawl_slot);
             if let Some(diameter) = job.diameter_estimate {
                 sampler = sampler.with_diameter_estimate(diameter);
             }

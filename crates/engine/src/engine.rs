@@ -16,9 +16,14 @@
 //!
 //! * each walker's RNG stream is a pure function of `job.seed ^ walker_id`;
 //! * during a round, a walker reads only (a) the immutable graph through the
-//!   cache — a pure function of the node asked, (b) the shared history
-//!   *snapshot*, which no one writes until every draw of the round has
-//!   joined, and (c) its own pending walks;
+//!   cache — a pure function of the node asked, (b) the job's crawl slot,
+//!   whose initial crawl is a pure function of (start, kind, depth) read
+//!   through the cache, so it is the same whichever walker built it, (c) the
+//!   shared history *snapshot*, which no one writes until every draw of the
+//!   round has joined, and (d) its own pending walks;
+//! * a walker that takes the crawl another walker built is charged its
+//!   nodes in the order the build queried them, so its counters and budget
+//!   read exactly as if it had built the crawl itself;
 //! * after the join barrier, pending walks are merged into the shared
 //!   history by adding per-(node, step) counts — commutative and
 //!   associative, so the snapshot for round `r + 1` is the same whatever

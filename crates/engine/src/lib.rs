@@ -138,29 +138,66 @@ mod tests {
 
     #[test]
     fn independent_mode_matches_sequential_sampler() {
-        // One walker, independent history: the engine must reproduce the
-        // plain single-threaded WalkEstimateSampler exactly.
+        // Independent history: every walker must reproduce a plain
+        // single-threaded WalkEstimateSampler on its own metered view
+        // exactly — samples, per-sample query costs, counters and budget
+        // exhaustion — whichever walker built the job's shared crawl.
+        use wnw_access::{MeteredNetwork, QueryBudget};
+        use wnw_core::estimate::InitialCrawl;
         use wnw_core::{WalkEstimateConfig, WalkEstimateSampler};
+        use wnw_graph::NodeId;
         use wnw_mcmc::collect_samples;
 
+        // The pool cost of the unbudgeted job when every walker built its
+        // own crawl.
+        const EXPECTED_POOL_COST: u64 = 217;
         let osn = osn(300, 17);
+        let crawl = InitialCrawl::build(&osn, RandomWalkKind::Simple, NodeId(0), 2).unwrap();
+        let crawl = crawl.crawled_nodes() as u64;
         let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 12, 123)
-            .with_walkers(1)
+            .with_walkers(4)
             .with_history(HistoryMode::Independent)
             .with_diameter_estimate(4);
-        let report = Engine::with_threads(4).run(&osn, &job).unwrap();
-
-        let reference_osn = osn.clone();
-        reference_osn.reset_counters();
-        let mut reference = WalkEstimateSampler::new(
-            reference_osn,
-            RandomWalkKind::Simple,
-            WalkEstimateConfig::default(),
-            job.seed_of(0),
-        )
-        .with_diameter_estimate(4);
-        let run = collect_samples(&mut reference, 12).unwrap();
-        assert_eq!(report.nodes(), run.nodes());
+        // Unbudgeted; walker 3's share one node short of the crawl; every
+        // share a little above it; every share half of it.
+        for budget in [
+            None,
+            Some(4 * crawl - 1),
+            Some(4 * crawl + 40),
+            Some(2 * crawl),
+        ] {
+            let job = budget.map_or(job.clone(), |b| job.clone().with_budget(b));
+            for width in [1, 2, 4] {
+                let report = Engine::with_threads(width).run(&osn, &job).unwrap();
+                let mut walker_calls = 0;
+                for (w, walker) in report.walkers.iter().enumerate() {
+                    let budget = job.budget_of(w).map_or(QueryBudget::UNLIMITED, QueryBudget);
+                    let view = MeteredNetwork::with_budget(&osn, budget);
+                    let config = WalkEstimateConfig::default();
+                    let mut reference = WalkEstimateSampler::new(
+                        view,
+                        RandomWalkKind::Simple,
+                        config,
+                        job.seed_of(w),
+                    )
+                    .with_diameter_estimate(4);
+                    let run = collect_samples(&mut reference, job.quota_of(w)).unwrap();
+                    let context = format!("budget {budget:?}, width {width}, walker {w}");
+                    assert_eq!(walker.samples, run.samples, "{context}");
+                    assert_eq!(walker.stats, reference.network().query_stats(), "{context}");
+                    assert_eq!(walker.budget_exhausted, run.budget_exhausted, "{context}");
+                    walker_calls += walker.stats.api_calls;
+                }
+                if budget.is_none() {
+                    // The pool's query cost is what every walker building
+                    // its own crawl cost; only walker calls reach the cache,
+                    // and three of the four walkers were charged the crawl
+                    // without a call.
+                    assert_eq!(report.query_cost(), EXPECTED_POOL_COST, "width {width}");
+                    assert_eq!(report.pool_stats.api_calls, walker_calls - 3 * crawl);
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,12 @@ pub struct JobReport {
     /// The shared cache's counters: `unique_nodes` is the pool's true query
     /// cost (each node charged once no matter how many walkers touched it),
     /// `cache_hits` is how often one walker rode on another's queries.
+    /// `api_calls` and `cache_hits` count only calls that reached the cache:
+    /// a walker that takes the job's initial crawl from the walker that
+    /// built it is charged the crawl on its own view
+    /// ([`WalkerReport::stats`]) without a cache call. `unique_nodes` does
+    /// not move, since the building walker fetched every crawled node
+    /// through the cache.
     pub pool_stats: QueryStats,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
