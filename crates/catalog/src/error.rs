@@ -9,7 +9,7 @@ use std::fmt;
 use std::io;
 use wnw_graph::GraphError;
 
-/// Errors produced by CSR construction and catalog serialization.
+/// Errors produced by catalog serialization and spec builds.
 #[derive(Debug)]
 pub enum CatalogError {
     /// An underlying I/O error (file missing, permission denied, ...).
@@ -51,10 +51,6 @@ pub enum CatalogError {
         /// Human-readable description of the structural violation.
         detail: String,
     },
-    /// The caller handed a constructor invalid input (edge endpoint out of
-    /// range, self-loop, ...). Unlike [`Corrupt`](Self::Corrupt) this is an
-    /// API-misuse report, not a file-integrity one.
-    InvalidInput(String),
     /// A generator error while building the graph a spec describes.
     Graph(GraphError),
 }
@@ -81,7 +77,6 @@ impl fmt::Display for CatalogError {
                 write!(f, "catalog {section} section failed its checksum")
             }
             CatalogError::Corrupt { detail } => write!(f, "catalog is corrupt: {detail}"),
-            CatalogError::InvalidInput(detail) => write!(f, "invalid input: {detail}"),
             CatalogError::Graph(e) => write!(f, "graph generation failed: {e}"),
         }
     }
@@ -143,9 +138,6 @@ mod tests {
         }
         .to_string()
         .contains("monotone"));
-        assert!(CatalogError::InvalidInput("self-loop".into())
-            .to_string()
-            .contains("self-loop"));
     }
 
     #[test]

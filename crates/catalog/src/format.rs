@@ -1,8 +1,8 @@
 //! The versioned binary on-disk catalog format (std-only I/O).
 //!
-//! A catalog file is a [`CsrGraph`] flattened to little-endian bytes with
-//! enough integrity metadata to detect truncation, bit rot, and version
-//! skew before a single neighbor is trusted:
+//! A catalog file is a [`Graph`]'s two CSR arrays flattened to
+//! little-endian bytes with enough integrity metadata to detect truncation,
+//! bit rot, and version skew before a single neighbor is trusted:
 //!
 //! | bytes     | field                                          |
 //! |-----------|------------------------------------------------|
@@ -22,14 +22,17 @@
 //!
 //! Everything is read through [`CatalogError`] — a damaged file can never
 //! panic the loader, and after the checksums pass the arrays still go
-//! through [`CsrGraph::from_parts`] so structural invariants hold even
+//! through [`Graph::from_parts`] so structural invariants hold even
 //! against a file whose corruption was itself checksummed.
+//!
+//! Catalogs hold topology only: a graph's attributes are not written, and
+//! a loaded graph starts with none.
 
-use crate::csr::CsrGraph;
 use crate::error::CatalogError;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use wnw_graph::{Graph, NodeId};
 
 /// First eight bytes of every catalog file.
 pub const MAGIC: [u8; 8] = *b"WNWCATLG";
@@ -89,16 +92,16 @@ fn checksum_u64s(words: &[u64]) -> u64 {
         .fold(Fnv1a::OFFSET_BASIS, |h, &w| fold_word(h, w))
 }
 
-fn checksum_u32s(words: &[u32]) -> u64 {
-    words
-        .iter()
-        .fold(Fnv1a::OFFSET_BASIS, |h, &w| fold_word(h, u64::from(w)))
+fn checksum_node_ids(ids: &[NodeId]) -> u64 {
+    ids.iter()
+        .fold(Fnv1a::OFFSET_BASIS, |h, &u| fold_word(h, u64::from(u.0)))
 }
 
-/// Serializes `graph` to `writer` in catalog format.
-pub fn save_to<W: Write>(graph: &CsrGraph, writer: &mut W) -> Result<(), CatalogError> {
+/// Serializes `graph`'s topology to `writer` in catalog format. Catalogs
+/// hold topology only: the graph's attributes are not written.
+pub fn save_to<W: Write>(graph: &Graph, writer: &mut W) -> Result<(), CatalogError> {
     let offsets = graph.offsets();
-    let neighbors = graph.neighbor_array();
+    let neighbors = graph.adjacency();
 
     let mut header = [0u8; HEADER_LEN];
     header[0..8].copy_from_slice(&MAGIC);
@@ -106,7 +109,7 @@ pub fn save_to<W: Write>(graph: &CsrGraph, writer: &mut W) -> Result<(), Catalog
     header[12..20].copy_from_slice(&(graph.node_count() as u64).to_le_bytes());
     header[20..28].copy_from_slice(&(graph.edge_count() as u64).to_le_bytes());
     header[28..36].copy_from_slice(&checksum_u64s(offsets).to_le_bytes());
-    header[36..44].copy_from_slice(&checksum_u32s(neighbors).to_le_bytes());
+    header[36..44].copy_from_slice(&checksum_node_ids(neighbors).to_le_bytes());
     let mut head_sum = Fnv1a::new();
     head_sum.update(&header[0..44]);
     header[44..52].copy_from_slice(&head_sum.finish().to_le_bytes());
@@ -122,8 +125,8 @@ pub fn save_to<W: Write>(graph: &CsrGraph, writer: &mut W) -> Result<(), Catalog
     }
     for chunk in neighbors.chunks(CHUNK_ELEMS) {
         buf.clear();
-        for &w in chunk {
-            buf.extend_from_slice(&w.to_le_bytes());
+        for &u in chunk {
+            buf.extend_from_slice(&u.0.to_le_bytes());
         }
         writer.write_all(&buf)?;
     }
@@ -131,8 +134,10 @@ pub fn save_to<W: Write>(graph: &CsrGraph, writer: &mut W) -> Result<(), Catalog
     Ok(())
 }
 
-/// Serializes `graph` to the file at `path` (created or truncated).
-pub fn save(graph: &CsrGraph, path: &Path) -> Result<(), CatalogError> {
+/// Serializes `graph`'s topology to the file at `path` (created or
+/// truncated). Catalogs hold topology only: the graph's attributes are not
+/// written.
+pub fn save(graph: &Graph, path: &Path) -> Result<(), CatalogError> {
     let mut w = BufWriter::new(File::create(path)?);
     save_to(graph, &mut w)
 }
@@ -169,8 +174,9 @@ fn read_exact_or_truncated<R: Read>(
 }
 
 /// Deserializes a catalog from `reader`, verifying magic, version, all
-/// three checksums, exact length, and CSR structural invariants.
-pub fn load_from<R: Read>(reader: &mut R) -> Result<CsrGraph, CatalogError> {
+/// three checksums, exact length, and CSR structural invariants. The
+/// loaded graph has no attributes.
+pub fn load_from<R: Read>(reader: &mut R) -> Result<Graph, CatalogError> {
     let mut header = [0u8; HEADER_LEN];
     let mut consumed = 0u64;
     read_exact_or_truncated(reader, &mut header, HEADER_LEN as u64, &mut consumed)?;
@@ -208,7 +214,7 @@ pub fn load_from<R: Read>(reader: &mut R) -> Result<CsrGraph, CatalogError> {
     };
 
     let mut offsets: Vec<u64> = Vec::with_capacity(clamp(offsets_len, 8));
-    let mut neighbors: Vec<u32> = Vec::with_capacity(clamp(neighbors_len, 4));
+    let mut neighbors: Vec<NodeId> = Vec::with_capacity(clamp(neighbors_len, 4));
     let mut buf = vec![0u8; CHUNK_ELEMS * 8];
     let mut offsets_sum = Fnv1a::OFFSET_BASIS;
     let mut remaining = offsets_len;
@@ -236,7 +242,7 @@ pub fn load_from<R: Read>(reader: &mut R) -> Result<CsrGraph, CatalogError> {
         for word in chunk.chunks_exact(4) {
             let w = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
             neighbors_sum = fold_word(neighbors_sum, u64::from(w));
-            neighbors.push(w);
+            neighbors.push(NodeId(w));
         }
         remaining -= take as u64;
     }
@@ -259,11 +265,13 @@ pub fn load_from<R: Read>(reader: &mut R) -> Result<CsrGraph, CatalogError> {
         return Err(CatalogError::TrailingBytes { extra });
     }
 
-    CsrGraph::from_parts(offsets, neighbors)
+    Graph::from_parts(offsets, neighbors).map_err(|e| CatalogError::Corrupt {
+        detail: e.to_string(),
+    })
 }
 
 /// Loads a catalog from the file at `path`.
-pub fn load(path: &Path) -> Result<CsrGraph, CatalogError> {
+pub fn load(path: &Path) -> Result<Graph, CatalogError> {
     let mut r = BufReader::new(File::open(path)?);
     load_from(&mut r)
 }
@@ -273,19 +281,19 @@ mod tests {
     use super::*;
     use wnw_graph::generators::random::barabasi_albert;
 
-    fn sample_csr() -> CsrGraph {
-        CsrGraph::from_graph(&barabasi_albert(64, 3, 42).unwrap())
+    fn sample_graph() -> Graph {
+        barabasi_albert(64, 3, 42).unwrap()
     }
 
     fn sample_bytes() -> Vec<u8> {
         let mut buf = Vec::new();
-        save_to(&sample_csr(), &mut buf).unwrap();
+        save_to(&sample_graph(), &mut buf).unwrap();
         buf
     }
 
     #[test]
     fn roundtrip_preserves_graph() {
-        let g = sample_csr();
+        let g = sample_graph();
         let bytes = sample_bytes();
         assert_eq!(
             bytes.len() as u64,
@@ -300,7 +308,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wnwcat-fmt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.wnwcat");
-        let g = sample_csr();
+        let g = sample_graph();
         save(&g, &path).unwrap();
         assert_eq!(load(&path).unwrap(), g);
         std::fs::remove_dir_all(&dir).ok();
@@ -374,7 +382,7 @@ mod tests {
 
     #[test]
     fn flipped_section_bits_fail_their_checksums() {
-        let g = sample_csr();
+        let g = sample_graph();
         let offsets_end = HEADER_LEN + (g.node_count() + 1) * 8;
 
         let mut bytes = sample_bytes();
@@ -409,7 +417,7 @@ mod tests {
         // Craft a file whose checksums are all valid but whose offsets are
         // not monotone — integrity checks pass, from_parts must catch it.
         let offsets: Vec<u64> = vec![0, 2, 1, 4];
-        let neighbors: Vec<u32> = vec![1, 2, 0, 0];
+        let neighbors: Vec<NodeId> = [1, 2, 0, 0].map(NodeId).to_vec();
         let node_count = (offsets.len() - 1) as u64;
         let edge_count = (neighbors.len() / 2) as u64;
 
@@ -420,7 +428,7 @@ mod tests {
         header[12..20].copy_from_slice(&node_count.to_le_bytes());
         header[20..28].copy_from_slice(&edge_count.to_le_bytes());
         header[28..36].copy_from_slice(&checksum_u64s(&offsets).to_le_bytes());
-        header[36..44].copy_from_slice(&checksum_u32s(&neighbors).to_le_bytes());
+        header[36..44].copy_from_slice(&checksum_node_ids(&neighbors).to_le_bytes());
         let mut sum = Fnv1a::new();
         sum.update(&header[0..44]);
         let sealed = sum.finish().to_le_bytes();
@@ -429,8 +437,8 @@ mod tests {
         for w in &offsets {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
-        for w in &neighbors {
-            bytes.extend_from_slice(&w.to_le_bytes());
+        for u in &neighbors {
+            bytes.extend_from_slice(&u.0.to_le_bytes());
         }
 
         let err = load_from(&mut &bytes[..]).unwrap_err();
@@ -459,7 +467,7 @@ mod tests {
 
     #[test]
     fn empty_graph_roundtrips() {
-        let g = CsrGraph::from_sorted_edges(0, &[]).unwrap();
+        let g = wnw_graph::GraphBuilder::new().build();
         let mut buf = Vec::new();
         save_to(&g, &mut buf).unwrap();
         assert_eq!(load_from(&mut &buf[..]).unwrap(), g);

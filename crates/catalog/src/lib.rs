@@ -1,65 +1,50 @@
 //! # wnw-catalog
 //!
-//! The large-scale graph substrate for the *"Walk, Not Wait"* (Nazi et al.,
-//! VLDB 2015) reproduction: an immutable CSR graph, a versioned binary
-//! on-disk catalog format, and a registry of named seeded graphs that are
+//! Binary on-disk catalogs for the *"Walk, Not Wait"* (Nazi et al., VLDB
+//! 2015) reproduction: a [`wnw_graph::Graph`] serialized to a versioned,
+//! checksummed file, and a registry of named seeded graphs that are
 //! generated once and loaded per run.
 //!
-//! The ROADMAP's north star is millions of users; per-node `Vec` adjacency
-//! stops being honest long before that, because allocator headers, chunk
-//! overhead, and pointer-chasing dominate both memory and query latency.
-//! This crate supplies:
+//! A `Graph` is already two flat CSR arrays (`offsets: Vec<u64>`,
+//! `adjacency: Vec<NodeId>`), so a catalog is those arrays written as-is
+//! and loading one is a flat copy plus validation — no per-node
+//! reconstruction, no conversion. A loaded graph is served like any other,
+//! through `wnw_access::SimulatedOsn`. This crate supplies:
 //!
-//! * [`CsrGraph`] — the flat two-array compressed-sparse-row graph
-//!   (`offsets: Vec<u64>`, `neighbors: Vec<u32>`), with O(1)
-//!   [`degree`](CsrGraph::degree), zero-copy
-//!   [`neighbor_slice`](CsrGraph::neighbor_slice), and the
-//!   [`nth_neighbor`](CsrGraph::nth_neighbor) walk-step primitive; built
-//!   from sorted edge lists or any [`wnw_graph`] generator output;
 //! * [`mod@format`] — the `WNWCATLG` binary catalog format (magic, versioned
 //!   header, FNV-1a-checksummed little-endian sections, std-only I/O) with
 //!   [`save`](format::save)/[`load`](format::load); every way a file can be
-//!   damaged maps to a typed [`CatalogError`], never a panic;
+//!   damaged maps to a typed [`CatalogError`], never a panic. Catalogs hold
+//!   topology only: a graph's attributes are not written;
 //! * [`GraphSpec`] — named, seeded graph specifications (`ba_100k`,
 //!   `ba_1m`, ...) with a build-once cache under `target/catalogs/` (or
 //!   `$WNW_CATALOG_DIR`), so large graphs are loaded in milliseconds
-//!   instead of regenerated per run;
-//! * [`CatalogNetwork`] — a metered
-//!   [`SocialNetwork`](wnw_access::SocialNetwork) adapter, so the engine,
-//!   service, gateway, and loadgen testbed run on a catalog unchanged;
-//! * [`AdjListGraph`] — the per-node-`Vec` baseline kept in-tree as the
-//!   yardstick for `benches/graph_substrate.rs`.
+//!   instead of regenerated per run.
 //!
 //! # Quick example
 //!
 //! ```
-//! use wnw_catalog::{CatalogNetwork, CsrGraph, GraphSpec, GraphModel};
-//! use wnw_access::SocialNetwork;
+//! use wnw_catalog::{format, GraphModel, GraphSpec};
 //! use wnw_graph::NodeId;
 //!
 //! let spec = GraphSpec::new("demo", GraphModel::BarabasiAlbert { m: 2 }, 500, 42);
-//! let csr = spec.build().unwrap();
-//! assert_eq!(csr.node_count(), 500);
+//! let graph = spec.build().unwrap();
+//! assert_eq!(graph.node_count(), 500);
+//! assert!(!graph.neighbors(NodeId(0)).is_empty());
 //!
-//! let net = CatalogNetwork::new(csr);
-//! let neighbors = net.neighbors(NodeId(0)).unwrap();
-//! assert!(!neighbors.is_empty());
-//! assert_eq!(net.query_cost(), 1);
+//! let mut bytes = Vec::new();
+//! format::save_to(&graph, &mut bytes).unwrap();
+//! let loaded = format::load_from(&mut &bytes[..]).unwrap();
+//! assert_eq!(loaded, graph);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod baseline;
-pub mod csr;
 pub mod error;
 pub mod format;
 pub mod spec;
 
-pub use backend::CatalogNetwork;
-pub use baseline::AdjListGraph;
-pub use csr::CsrGraph;
 pub use error::CatalogError;
 pub use spec::{catalog_dir, CatalogSource, GraphModel, GraphSpec, CATALOG_DIR_ENV};
 

@@ -9,11 +9,12 @@
 //! `benches/graph_substrate.rs`). A corrupt, stale, or version-skewed cache
 //! file is silently rebuilt, never trusted.
 
-use crate::csr::CsrGraph;
 use crate::error::CatalogError;
 use crate::format;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use wnw_graph::generators::random::barabasi_albert;
+use wnw_graph::Graph;
 
 /// Environment variable overriding the catalog cache directory.
 pub const CATALOG_DIR_ENV: &str = "WNW_CATALOG_DIR";
@@ -116,11 +117,10 @@ impl GraphSpec {
     }
 
     /// Generates the graph from scratch (no cache involved).
-    pub fn build(&self) -> Result<CsrGraph, CatalogError> {
-        let g = match self.model {
-            GraphModel::BarabasiAlbert { m } => barabasi_albert(self.nodes, m, self.seed)?,
-        };
-        Ok(CsrGraph::from_graph(&g))
+    pub fn build(&self) -> Result<Graph, CatalogError> {
+        match self.model {
+            GraphModel::BarabasiAlbert { m } => Ok(barabasi_albert(self.nodes, m, self.seed)?),
+        }
     }
 
     /// The cache file name for this spec, versioned with the format.
@@ -136,7 +136,7 @@ impl GraphSpec {
     /// Loads this spec's catalog from the default [`catalog_dir`], building
     /// (and caching) it on any miss. See
     /// [`load_or_build_in`](Self::load_or_build_in).
-    pub fn load_or_build(&self) -> Result<(CsrGraph, CatalogSource), CatalogError> {
+    pub fn load_or_build(&self) -> Result<(Graph, CatalogSource), CatalogError> {
         self.load_or_build_in(&catalog_dir())
     }
 
@@ -145,7 +145,7 @@ impl GraphSpec {
     /// rename; a failed save is not an error — the graph is still
     /// returned). A cache file that is damaged in any way, or whose node
     /// count no longer matches the spec, is rebuilt rather than trusted.
-    pub fn load_or_build_in(&self, dir: &Path) -> Result<(CsrGraph, CatalogSource), CatalogError> {
+    pub fn load_or_build_in(&self, dir: &Path) -> Result<(Graph, CatalogSource), CatalogError> {
         let path = self.path_in(dir);
         if path.is_file() {
             if let Ok(g) = format::load(&path) {
@@ -160,16 +160,27 @@ impl GraphSpec {
     }
 
     /// Writes `g` to `path` via a temp file + rename so concurrent readers
-    /// never observe a half-written catalog.
-    fn try_cache(&self, g: &CsrGraph, dir: &Path, path: &Path) -> Result<(), CatalogError> {
+    /// never observe a half-written catalog. The temp name is unique per
+    /// call, so concurrent writers (threads or processes) never share one.
+    fn try_cache(&self, g: &Graph, dir: &Path, path: &Path) -> Result<(), CatalogError> {
         std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!(".{}.tmp-{}", self.file_name(), std::process::id()));
+        let tmp = dir.join(unique_temp_name(&self.file_name()));
         format::save(g, &tmp)?;
         std::fs::rename(&tmp, path).inspect_err(|_| {
             std::fs::remove_file(&tmp).ok();
         })?;
         Ok(())
     }
+}
+
+/// A hidden temp-file name for writing `file_name`, unique across the
+/// processes sharing a directory (pid) and across calls within one
+/// process (a process-wide counter), so no two writers ever truncate and
+/// rename the same temp file.
+pub fn unique_temp_name(file_name: &str) -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let call = NEXT.fetch_add(1, Ordering::Relaxed);
+    format!(".{file_name}.tmp-{}-{call}", std::process::id())
 }
 
 /// The catalog cache directory: `$WNW_CATALOG_DIR` if set and non-empty,
@@ -187,6 +198,7 @@ pub fn catalog_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wnwcat-spec-{tag}-{}", std::process::id()));
@@ -254,6 +266,51 @@ mod tests {
         let (g, src) = bigger.load_or_build_in(&dir).unwrap();
         assert_eq!(src, CatalogSource::Built);
         assert_eq!(g.node_count(), 250);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_cold_builds_never_publish_a_torn_catalog() {
+        let dir = temp_dir("race");
+        let spec = GraphSpec::new("race_test", GraphModel::BarabasiAlbert { m: 3 }, 20_000, 13);
+        let path = spec.path_in(&dir);
+        let writers_done = AtomicBool::new(false);
+        let (graphs, torn_reads) = std::thread::scope(|s| {
+            // Whatever is published under the final name must load cleanly.
+            let reader = s.spawn(|| {
+                let mut torn = 0;
+                while !writers_done.load(Ordering::Acquire) {
+                    match format::load(&path) {
+                        Err(CatalogError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+                        Err(_) => torn += 1,
+                        Ok(_) => {}
+                    }
+                }
+                torn
+            });
+            let writers: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| spec.load_or_build_in(&dir).unwrap().0))
+                .collect();
+            let graphs: Vec<Graph> = writers.into_iter().map(|h| h.join().unwrap()).collect();
+            writers_done.store(true, Ordering::Release);
+            (graphs, reader.join().unwrap())
+        });
+        assert_eq!(torn_reads, 0, "a reader saw a half-written catalog");
+        let expected = spec.build().unwrap();
+        assert!(graphs.iter().all(|g| *g == expected));
+
+        let (loaded, src) = spec.load_or_build_in(&dir).unwrap();
+        assert_eq!(src, CatalogSource::Loaded);
+        assert_eq!(loaded, expected);
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().contains(".tmp-"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

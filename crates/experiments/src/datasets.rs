@@ -15,12 +15,13 @@
 //!   [`wnw_graph::io`] snapshots, which carry the attribute columns the
 //!   catalog format deliberately omits.
 //!
-//! Both roundtrips preserve adjacency exactly ([`Graph`] neighbor lists are
-//! always id-sorted), so cached and freshly-generated runs walk identical
-//! paths.
+//! Both roundtrips preserve adjacency exactly (a catalog stores the
+//! [`Graph`]'s own CSR arrays; snapshot neighbor lists are always
+//! id-sorted), so cached and freshly-generated runs walk identical paths.
 
 use crate::report::ExperimentScale;
 use std::path::{Path, PathBuf};
+use wnw_catalog::spec::unique_temp_name;
 use wnw_catalog::{catalog_dir, GraphModel, GraphSpec};
 use wnw_graph::generators::surrogate::{self, SurrogateDataset};
 use wnw_graph::{io, Graph};
@@ -74,9 +75,9 @@ impl DatasetRegistry {
     }
 
     /// Snapshot cache for attributed surrogates. A snapshot that fails to
-    /// parse is regenerated, never trusted; the write goes through a temp
-    /// file + rename so concurrent `repro` runs never read a half-written
-    /// snapshot.
+    /// parse is regenerated, never trusted; the write goes through a
+    /// per-call temp file + rename so concurrent builders (threads or
+    /// `repro` runs) never read a half-written snapshot.
     fn cached(&self, name: &str, build: impl FnOnce() -> Graph) -> Graph {
         if let Some(dir) = &self.cache_dir {
             let path = dir.join(format!("{name}.snapshot"));
@@ -87,7 +88,7 @@ impl DatasetRegistry {
             }
             let graph = build();
             if std::fs::create_dir_all(dir).is_ok() {
-                let tmp = dir.join(format!(".{name}.snapshot.tmp-{}", std::process::id()));
+                let tmp = dir.join(unique_temp_name(&format!("{name}.snapshot")));
                 if io::write_snapshot_file(&graph, &tmp).is_ok()
                     && std::fs::rename(&tmp, &path).is_err()
                 {
@@ -101,15 +102,14 @@ impl DatasetRegistry {
 
     /// Binary-catalog cache for pure-topology graphs: load the spec's
     /// `.wnwcat` file if a valid one exists, otherwise generate and cache.
-    /// The CSR roundtrip preserves adjacency exactly, so walks over a
-    /// loaded graph match walks over a freshly generated one.
+    /// A loaded catalog equals the generated graph, so walks over it match
+    /// walks over a freshly generated one.
     fn catalog(&self, name: &str, m: usize, n: usize, seed: u64) -> Graph {
         let spec = GraphSpec::new(name, GraphModel::BarabasiAlbert { m }, n, seed);
-        let csr = match &self.cache_dir {
+        match &self.cache_dir {
             Some(dir) => spec.load_or_build_in(dir).expect("valid graph spec").0,
             None => spec.build().expect("valid graph spec"),
-        };
-        csr.to_graph()
+        }
     }
 
     /// Node count of the Google-Plus-like surrogate at this scale
@@ -286,18 +286,13 @@ mod tests {
         );
         assert!(spec.path_in(&dir).exists(), "catalog file must be written");
         // Second call loads the catalog; the uncached path regenerates.
-        // All three must agree edge for edge.
+        // All three must be equal graphs.
         let b = reg.synthetic(300);
         let fresh = DatasetRegistry::new(ExperimentScale::Quick)
             .without_cache()
             .synthetic(300);
-        for g in [&b, &fresh] {
-            assert_eq!(a.node_count(), g.node_count());
-            assert_eq!(a.edge_count(), g.edge_count());
-            assert!((0..300).all(|v| {
-                a.neighbors(wnw_graph::NodeId(v)) == g.neighbors(wnw_graph::NodeId(v))
-            }));
-        }
+        assert_eq!(a, b);
+        assert_eq!(a, fresh);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -280,52 +280,20 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> io::Result<()> {
+/// A complete fixed-length response as bytes, for write-buffer queueing.
+pub fn response_bytes(status: u16, content_type: &str, body: &[u8], close: bool) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128 + body.len());
     write!(
-        w,
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         status,
         status_reason(status),
         content_type,
         body.len(),
         if close { "close" } else { "keep-alive" },
-    )?;
-    w.write_all(body)?;
-    w.flush()
-}
-
-/// Writes a JSON response.
-pub fn write_json(w: &mut impl Write, status: u16, body: &Json, close: bool) -> io::Result<()> {
-    write_response(
-        w,
-        status,
-        "application/json",
-        body.encode().as_bytes(),
-        close,
     )
-}
-
-/// Writes a JSON error body `{"error": message}`.
-pub fn write_error(w: &mut impl Write, status: u16, message: &str, close: bool) -> io::Result<()> {
-    write_json(
-        w,
-        status,
-        &Json::obj(vec![("error", Json::str(message))]),
-        close,
-    )
-}
-
-/// A complete fixed-length response as bytes, for write-buffer queueing.
-pub fn response_bytes(status: u16, content_type: &str, body: &[u8], close: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    write_response(&mut out, status, content_type, body, close).expect("Vec writes are infallible");
+    .expect("Vec writes are infallible");
+    out.extend_from_slice(body);
     out
 }
 
@@ -363,44 +331,6 @@ pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
-}
-
-/// A `Transfer-Encoding: chunked` response body in progress, over a
-/// blocking writer.
-///
-/// Every chunk is flushed immediately — the whole point of the streaming
-/// endpoint is that the client sees each sample as the scheduler lands
-/// it, not a buffered batch at job end. (The readiness-loop server frames
-/// chunks with [`encode_chunk`] into its own write buffer instead; this
-/// writer serves blocking callers and keeps the frame format pinned by
-/// one implementation.)
-#[derive(Debug)]
-pub struct ChunkedWriter<W: Write> {
-    w: W,
-}
-
-impl<W: Write> ChunkedWriter<W> {
-    /// Writes the response head and returns the body writer.
-    pub fn begin(mut w: W, status: u16, content_type: &str) -> io::Result<Self> {
-        w.write_all(&chunked_head(status, content_type))?;
-        w.flush()?;
-        Ok(ChunkedWriter { w })
-    }
-
-    /// Writes one chunk (non-empty; an empty chunk would terminate the
-    /// body) and flushes it.
-    pub fn write_chunk(&mut self, data: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(data.len() + 16);
-        encode_chunk(&mut frame, data);
-        self.w.write_all(&frame)?;
-        self.w.flush()
-    }
-
-    /// Terminates the body (zero-length chunk, no trailers).
-    pub fn finish(mut self) -> io::Result<()> {
-        self.w.write_all(CHUNK_TERMINATOR)?;
-        self.w.flush()
-    }
 }
 
 #[cfg(test)]
@@ -579,14 +509,7 @@ mod tests {
 
     #[test]
     fn responses_have_the_expected_shape() {
-        let mut out = Vec::new();
-        write_json(
-            &mut out,
-            200,
-            &Json::obj(vec![("ok", Json::Bool(true))]),
-            false,
-        )
-        .unwrap();
+        let out = json_bytes(200, &Json::obj(vec![("ok", Json::Bool(true))]), false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -596,25 +519,25 @@ mod tests {
 
         let out = error_bytes(404, "unknown job", true);
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("{\"error\":\"unknown job\"}"));
-
-        // The byte-producing and writer-based encoders agree exactly.
-        let mut written = Vec::new();
-        write_error(&mut written, 404, "unknown job", true).unwrap();
-        assert_eq!(written, text.as_bytes());
+        assert_eq!(
+            text,
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+             Content-Length: 23\r\nConnection: close\r\n\r\n{\"error\":\"unknown job\"}"
+        );
     }
 
     #[test]
     fn chunked_writer_frames_chunks() {
-        let mut out = Vec::new();
-        let mut body = ChunkedWriter::begin(&mut out, 200, "application/x-ndjson").unwrap();
-        body.write_chunk(b"{\"a\":1}\n").unwrap();
-        body.write_chunk(b"{\"b\":2}\n").unwrap();
-        body.finish().unwrap();
+        let mut out = chunked_head(200, "application/x-ndjson");
+        encode_chunk(&mut out, b"{\"a\":1}\n");
+        encode_chunk(&mut out, b"{\"b\":2}\n");
+        out.extend_from_slice(CHUNK_TERMINATOR);
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
-        assert!(text.ends_with("8\r\n{\"a\":1}\n\r\n8\r\n{\"b\":2}\n\r\n0\r\n\r\n"));
+        assert_eq!(
+            text,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+             Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+             8\r\n{\"a\":1}\n\r\n8\r\n{\"b\":2}\n\r\n0\r\n\r\n"
+        );
     }
 }

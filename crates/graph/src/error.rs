@@ -34,6 +34,9 @@ pub enum GraphError {
         /// Description of what went wrong.
         message: String,
     },
+    /// Raw CSR arrays that describe an impossible layout (non-monotone
+    /// offsets, out-of-range neighbor, mismatched lengths).
+    InvalidCsr(String),
     /// An underlying I/O error.
     Io(io::Error),
 }
@@ -62,6 +65,7 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
+            GraphError::InvalidCsr(detail) => write!(f, "invalid CSR layout: {detail}"),
             GraphError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -113,6 +117,9 @@ mod tests {
             message: "bad token".into(),
         };
         assert!(e.to_string().contains("line 7"));
+
+        let e = GraphError::InvalidCsr("offsets not monotone".into());
+        assert!(e.to_string().contains("monotone"));
     }
 
     #[test]

@@ -15,8 +15,9 @@ use crate::Result;
 /// An immutable, simple, undirected graph in CSR form.
 ///
 /// Construct one through [`GraphBuilder`](crate::GraphBuilder), a generator
-/// in [`generators`](crate::generators), or [`io`](crate::io).
-#[derive(Debug, Clone)]
+/// in [`generators`](crate::generators), [`io`](crate::io), or from raw
+/// CSR arrays with [`Graph::from_parts`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `adjacency` for node `v`.
     offsets: Vec<u64>,
@@ -70,6 +71,73 @@ impl Graph {
             edge_count: edges.len(),
             attributes: AttributeTable::new(node_count),
         }
+    }
+
+    /// Reassembles a graph from raw CSR arrays (the binary catalog
+    /// loader's entry point), validating every structural invariant so the
+    /// panic-free accessors stay honest on untrusted input:
+    ///
+    /// * `offsets` is non-empty, starts at 0, and is monotone,
+    /// * the final offset equals `adjacency.len()`,
+    /// * `adjacency.len()` is even (each undirected edge appears twice),
+    /// * every neighbor id is a valid node index.
+    ///
+    /// The graph starts with no attributes.
+    pub fn from_parts(offsets: Vec<u64>, adjacency: Vec<NodeId>) -> Result<Self> {
+        let invalid = |detail: String| Err(GraphError::InvalidCsr(detail));
+        let Some((&first, rest)) = offsets.split_first() else {
+            return invalid("offsets array is empty".into());
+        };
+        if first != 0 {
+            return invalid(format!("offsets[0] is {first}, expected 0"));
+        }
+        let mut prev = 0u64;
+        for (i, &o) in rest.iter().enumerate() {
+            if o < prev {
+                return invalid(format!(
+                    "offsets not monotone at node {}: {prev} > {o}",
+                    i + 1
+                ));
+            }
+            prev = o;
+        }
+        if prev != adjacency.len() as u64 {
+            return invalid(format!(
+                "final offset {prev} does not match adjacency length {}",
+                adjacency.len()
+            ));
+        }
+        if !adjacency.len().is_multiple_of(2) {
+            return invalid(format!(
+                "adjacency length {} is odd (each undirected edge must appear twice)",
+                adjacency.len()
+            ));
+        }
+        let node_count = offsets.len() - 1;
+        if let Some(bad) = adjacency.iter().find(|u| u.index() >= node_count) {
+            return invalid(format!(
+                "neighbor id {} out of range for {node_count} nodes",
+                bad.0
+            ));
+        }
+        Ok(Graph {
+            edge_count: adjacency.len() / 2,
+            attributes: AttributeTable::new(node_count),
+            offsets,
+            adjacency,
+        })
+    }
+
+    /// The raw offsets array (`node_count + 1` entries): `offsets()[v]..
+    /// offsets()[v + 1]` indexes [`adjacency`](Self::adjacency) for `v`.
+    pub fn offsets(&self) -> &[u64] {
+        &self.offsets
+    }
+
+    /// The raw concatenated neighbor lists (`2|E|` entries, each list
+    /// sorted by node id).
+    pub fn adjacency(&self) -> &[NodeId] {
+        &self.adjacency
     }
 
     /// Number of nodes `|V|`.
@@ -289,6 +357,51 @@ mod tests {
         assert_eq!(g.average_degree(), 0.0);
         assert_eq!(g.nodes().count(), 0);
         assert_eq!(g.edges().count(), 0);
+    }
+
+    #[test]
+    fn from_parts_validates_structure() {
+        // Valid: the path graph's own parts.
+        let g = path4();
+        let rebuilt = Graph::from_parts(g.offsets().to_vec(), g.adjacency().to_vec()).unwrap();
+        assert_eq!(rebuilt, g);
+
+        let invalid = |offsets: Vec<u64>, adjacency: Vec<u32>| {
+            let adjacency = adjacency.into_iter().map(NodeId).collect();
+            matches!(
+                Graph::from_parts(offsets, adjacency),
+                Err(GraphError::InvalidCsr(_))
+            )
+        };
+        assert!(invalid(vec![], vec![]));
+        assert!(invalid(vec![1, 2], vec![0, 0]));
+        assert!(invalid(vec![0, 2, 1], vec![0, 1]));
+        assert!(invalid(vec![0, 4], vec![0, 0]));
+        assert!(invalid(vec![0, 1], vec![0])); // odd adjacency length
+        assert!(invalid(vec![0, 1, 2], vec![0, 7])); // neighbor out of range
+    }
+
+    #[test]
+    fn from_parts_matches_source_exactly() {
+        let src = crate::generators::random::barabasi_albert(500, 3, 11).unwrap();
+        let g = Graph::from_parts(src.offsets().to_vec(), src.adjacency().to_vec()).unwrap();
+        assert_eq!(g, src);
+        assert_eq!(g.edge_count(), src.edge_count());
+        for v in src.nodes() {
+            assert_eq!(g.degree(v), src.degree(v));
+            assert_eq!(g.neighbors(v), src.neighbors(v));
+        }
+    }
+
+    #[test]
+    fn empty_graph_degenerates_cleanly() {
+        let empty = GraphBuilder::new().build();
+        let g = Graph::from_parts(empty.offsets().to_vec(), Vec::new()).unwrap();
+        assert_eq!(g, empty);
+        assert!(g.is_empty());
+        assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.max_degree(), 0);
+        assert_eq!(g.average_degree(), 0.0);
     }
 
     #[test]

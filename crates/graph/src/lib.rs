@@ -9,7 +9,10 @@
 //! in* for such a network:
 //!
 //! * [`Graph`] — a compact CSR (compressed sparse row) undirected graph with
-//!   O(1) degree lookup and contiguous neighbor slices,
+//!   O(1) degree lookup and contiguous neighbor slices. It is the workspace's
+//!   only graph type: access backends serve it, and `wnw-catalog` writes its
+//!   two raw arrays ([`Graph::offsets`], [`Graph::adjacency`]) to binary
+//!   catalogs and reassembles them with [`Graph::from_parts`],
 //! * [`GraphBuilder`] — an edge-list accumulator that deduplicates parallel
 //!   edges and self-loops,
 //! * [`generators`] — the theoretical graph models used in the paper's case
@@ -34,6 +37,10 @@
 //! assert_eq!(g.node_count(), 8);
 //! assert_eq!(g.edge_count(), 8);
 //! assert_eq!(metrics::exact_diameter(&g), Some(4));
+//!
+//! // The raw CSR arrays reassemble into an equal graph.
+//! let copy = wnw_graph::Graph::from_parts(g.offsets().to_vec(), g.adjacency().to_vec()).unwrap();
+//! assert_eq!(copy, g);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -16,7 +16,6 @@ use wnw_access::{
     FaultInjector, FaultProfile, FaultStats, FaultyNetwork, ResilienceMonitor, ResilienceStats,
     ResilientNetwork, RetryPolicy, SimulatedOsn,
 };
-use wnw_catalog::{CatalogNetwork, CsrGraph, GraphModel, GraphSpec};
 use wnw_gateway::{GatewayConfig, GatewayServer};
 use wnw_graph::generators::random::barabasi_albert;
 use wnw_graph::NodeId;
@@ -39,37 +38,6 @@ pub fn launch(nodes: usize) -> io::Result<GatewayServer<SimulatedOsn>> {
         .max_in_flight(256)
         .build();
     GatewayServer::bind_with(service, "127.0.0.1:0", testbed_gateway_config())
-}
-
-/// Launches a fresh gateway over the **catalog substrate**: the same
-/// testbed graph (model, `m`, seed) built as a [`CsrGraph`] and served
-/// through [`CatalogNetwork`], cached on disk by the spec registry so
-/// repeat runs load instead of regenerate. Everything above the access
-/// layer — service, gateway, driver — is identical to [`launch`]; that
-/// indifference is the point of the adapter.
-pub fn launch_catalog(nodes: usize) -> io::Result<GatewayServer<CatalogNetwork>> {
-    let csr = testbed_catalog(nodes).map_err(|e| {
-        io::Error::new(io::ErrorKind::InvalidInput, format!("testbed catalog: {e}"))
-    })?;
-    let service = SamplingService::builder(CatalogNetwork::new(csr))
-        .pool_threads(2)
-        .max_in_flight(256)
-        .build();
-    GatewayServer::bind_with(service, "127.0.0.1:0", testbed_gateway_config())
-}
-
-/// The testbed graph as a cached CSR catalog (spec name
-/// `loadgen_ba_{nodes}`, same model parameters and seed as [`launch`]).
-pub fn testbed_catalog(nodes: usize) -> wnw_catalog::Result<CsrGraph> {
-    let spec = GraphSpec::new(
-        format!("loadgen_ba_{nodes}"),
-        GraphModel::BarabasiAlbert {
-            m: BA_EDGES_PER_NODE,
-        },
-        nodes,
-        GRAPH_SEED,
-    );
-    spec.load_or_build().map(|(graph, _)| graph)
 }
 
 /// Nodes in the streams-tier testbed graph: the tiers stress connection
@@ -120,15 +88,6 @@ fn testbed_gateway_config() -> GatewayConfig {
 /// server down. The returned report is the scenario's bench row.
 pub fn run_scenario(scenario: &Scenario) -> io::Result<crate::report::ScenarioReport> {
     let server = launch(scenario.nodes)?;
-    let report = crate::driver::run_scenario_on(server.local_addr(), scenario);
-    server.shutdown();
-    report
-}
-
-/// [`run_scenario`] on the catalog-backed testbed: same workload, same
-/// driver, CSR substrate underneath.
-pub fn run_scenario_catalog(scenario: &Scenario) -> io::Result<crate::report::ScenarioReport> {
-    let server = launch_catalog(scenario.nodes)?;
     let report = crate::driver::run_scenario_on(server.local_addr(), scenario);
     server.shutdown();
     report

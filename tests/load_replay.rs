@@ -60,35 +60,6 @@ fn steady_smoke_run_reports_and_meets_its_slo() {
     );
 }
 
-/// The catalog-backed testbed drives the same smoke workload end to end:
-/// CSR substrate underneath, identical gateway/service/driver above — the
-/// whole stack runs on a loaded catalog with its SLO intact.
-#[test]
-fn steady_smoke_run_on_catalog_testbed_meets_its_slo() {
-    let steady = scenario::steady(Scale::Smoke);
-    let report = testbed::run_scenario_catalog(&steady).expect("catalog smoke run");
-
-    assert!(report.offered > 0);
-    assert_eq!(
-        report.submitted + report.shed + report.submit_errors,
-        report.offered
-    );
-    assert!(
-        report.completed > 0,
-        "catalog-backed steady load completes jobs"
-    );
-    assert!(report.samples_delivered > 0);
-    assert!(
-        report.server.prometheus_consistent,
-        "prometheus scrape must validate on the catalog substrate too"
-    );
-    assert!(
-        report.slo.pass,
-        "catalog-backed steady smoke must meet the same SLO: {:?}",
-        report.slo.checks
-    );
-}
-
 #[test]
 fn seeded_rerun_submits_the_identical_job_multiset() {
     for preset in scenario::presets(Scale::Smoke) {
