@@ -17,6 +17,8 @@
 //!   of them performs (and is charged for) the inner query — this is what
 //!   makes `QueryStats::unique_nodes` exact under contention, with no
 //!   double-charging and no lost updates;
+//! * shards are [`NodeMap`]s, hashed by node id without SipHash (node ids
+//!   are dense graph-internal indices, see [`wnw_graph::hash`]);
 //! * counters use the same [`QueryCounter`] as the rest of the access layer,
 //!   whose internal mutex is independent of the shard locks (no lock-order
 //!   cycles: shard → counter only).
@@ -38,9 +40,8 @@ use crate::counter::{QueryCounter, QueryStats};
 use crate::interface::SocialNetwork;
 use crate::sync::lock;
 use crate::Result;
-use std::collections::HashMap;
 use std::sync::Mutex;
-use wnw_graph::NodeId;
+use wnw_graph::{NodeId, NodeMap};
 
 /// Number of independent cache shards. A power of two so the shard index is
 /// a mask; 64 keeps contention negligible for worker pools far larger than
@@ -60,7 +61,7 @@ pub const SHARD_COUNT: usize = 64;
 #[derive(Debug)]
 pub struct CachedNetwork<N> {
     inner: N,
-    shards: Vec<Mutex<HashMap<NodeId, Vec<NodeId>>>>,
+    shards: Vec<Mutex<NodeMap<Vec<NodeId>>>>,
     counter: QueryCounter,
 }
 
@@ -70,7 +71,7 @@ impl<N: SocialNetwork> CachedNetwork<N> {
         CachedNetwork {
             inner,
             shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(NodeMap::default()))
                 .collect(),
             counter: QueryCounter::unlimited(),
         }
@@ -104,27 +105,41 @@ impl<N: SocialNetwork> CachedNetwork<N> {
     }
 }
 
-impl<N: SocialNetwork> SocialNetwork for CachedNetwork<N> {
-    fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
-        let shard = &self.shards[Self::shard_of(v)];
-        let mut guard = lock(shard);
-        if let Some(cached) = guard.get(&v) {
-            let list = cached.clone();
-            drop(guard);
-            // Served locally: counts as an api call + cache hit, never as a
-            // new unique node (the entry's presence implies it was recorded).
-            let _ = self.counter.record_neighbor_query(v);
-            return Ok(list);
-        }
-        // Miss: fetch while holding the shard lock so a racing walker cannot
-        // issue a duplicate inner query for the same node.
-        let list = self.inner.neighbors(v)?;
-        guard.insert(v, list.clone());
+impl<N: SocialNetwork> CachedNetwork<N> {
+    /// Answers `answer(N(v))` from the cache, fetching and storing `N(v)`
+    /// first on a miss, and records the call. The miss is fetched while the
+    /// shard lock is held so a racing walker cannot issue a duplicate inner
+    /// query for the same node.
+    fn lookup<T>(&self, v: NodeId, answer: impl FnOnce(&[NodeId]) -> T) -> Result<T> {
+        let mut guard = lock(&self.shards[Self::shard_of(v)]);
+        let answer = match guard.get(&v) {
+            Some(cached) => answer(cached),
+            None => {
+                let list = self.inner.neighbors(v)?;
+                let answer = answer(&list);
+                guard.insert(v, list);
+                answer
+            }
+        };
         drop(guard);
+        // A hit counts as an api call and a cache hit, never as a new unique
+        // node (the entry's presence implies it was recorded).
         self.counter
             .record_neighbor_query(v)
             .expect("cache counter is unlimited and each node is recorded once");
-        Ok(list)
+        Ok(answer)
+    }
+}
+
+impl<N: SocialNetwork> SocialNetwork for CachedNetwork<N> {
+    fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
+        self.lookup(v, <[NodeId]>::to_vec)
+    }
+
+    /// The length of `v`'s cached list, without copying it out. Counters
+    /// and cache contents match the `neighbors(v)?.len()` path.
+    fn degree(&self, v: NodeId) -> Result<usize> {
+        self.lookup(v, <[NodeId]>::len)
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {

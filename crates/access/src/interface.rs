@@ -35,6 +35,14 @@ pub trait SocialNetwork {
         self.neighbors(v).map(drop)
     }
 
+    /// [`charge`](Self::charge)s every node of `nodes` in order, stopping
+    /// at the first error. A metering view overrides it to charge the whole
+    /// list under one lock, with the same counters and the same error the
+    /// loop would give.
+    fn charge_all(&self, nodes: &[NodeId]) -> Result<()> {
+        nodes.iter().try_for_each(|&v| self.charge(v))
+    }
+
     /// Reads a numeric attribute of a node the caller has sampled (e.g. its
     /// star rating or self-description word count). Attribute reads target a
     /// profile page already retrieved and are not charged as extra queries.
@@ -88,6 +96,9 @@ impl<N: SocialNetwork + ?Sized> SocialNetwork for &N {
     fn charge(&self, v: NodeId) -> Result<()> {
         (**self).charge(v)
     }
+    fn charge_all(&self, nodes: &[NodeId]) -> Result<()> {
+        (**self).charge_all(nodes)
+    }
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         (**self).attribute(name, v)
     }
@@ -116,6 +127,9 @@ impl<N: SocialNetwork + ?Sized> SocialNetwork for std::sync::Arc<N> {
     }
     fn charge(&self, v: NodeId) -> Result<()> {
         (**self).charge(v)
+    }
+    fn charge_all(&self, nodes: &[NodeId]) -> Result<()> {
+        (**self).charge_all(nodes)
     }
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         (**self).attribute(name, v)

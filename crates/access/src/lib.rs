@@ -12,7 +12,8 @@
 //! * [`SocialNetwork`] — the only view samplers get of a graph: `neighbors`,
 //!   `degree`, and per-node attribute reads, all of which are metered;
 //! * [`QueryCounter`] — unique-node query accounting (the paper's query-cost
-//!   measure) plus raw API-call counts;
+//!   measure) plus raw API-call counts. Its visited set is a bitset that
+//!   grows to the largest id charged (see [`counter`]);
 //! * [`SimulatedOsn`] — wraps a [`wnw_graph::Graph`] behind the interface,
 //!   with a neighbor cache, optional [`NeighborRestriction`]s (Section 6.3:
 //!   random-k, fixed-k, truncated neighbor lists with bidirectional-edge
@@ -24,7 +25,9 @@
 //!   under contention;
 //! * [`MeteredNetwork`] — an independent per-caller metering and budget view
 //!   over a shared network (how the engine gives each walker its own
-//!   deterministic budget share);
+//!   deterministic budget share). It charges a whole list in one
+//!   [`SocialNetwork::charge_all`] call under one lock, and answers `degree`
+//!   without copying neighbor lists through the layers below;
 //! * [`ThreadedNetwork`] — the `Send + Sync` marker the concurrent engine
 //!   requires of a network handle shared across worker threads;
 //! * [`FaultyNetwork`] — seeded, deterministic fault injection (transient

@@ -67,42 +67,46 @@ impl<N: SocialNetwork> MeteredNetwork<N> {
 }
 
 impl<N: SocialNetwork> MeteredNetwork<N> {
-    /// Fails if charging `v` would exceed this view's budget.
-    fn check_budget(&self, v: NodeId) -> Result<()> {
-        if !self.counter.is_visited(v) && self.counter.remaining() == 0 {
-            return Err(crate::AccessError::BudgetExhausted {
-                budget: self.counter.budget().0,
-            });
-        }
-        Ok(())
-    }
-
-    fn record(&self, v: NodeId) {
+    /// Meters one query of `v` answered by `query` on the wrapped network.
+    ///
+    /// This view's budget is enforced *before* the inner query, but the
+    /// charge is recorded only *after* it succeeds: a failed query (rate
+    /// limit, unknown node) must not consume budget or mark the node as
+    /// visited, or a later successful retry would be mis-counted as free.
+    fn metered<T>(&self, v: NodeId, query: impl FnOnce(&N) -> Result<T>) -> Result<T> {
+        self.counter.check_charge(v)?;
+        let answer = query(&self.inner)?;
         self.counter
             .record_neighbor_query(v)
             .expect("budget was checked before the charge");
+        Ok(answer)
     }
 }
 
 impl<N: SocialNetwork> SocialNetwork for MeteredNetwork<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
-        // Enforce this view's budget *before* issuing the inner query, but
-        // record the charge only *after* it succeeds: a failed query (rate
-        // limit, unknown node) must not consume budget or mark the node as
-        // visited, or a later successful retry would be mis-counted as free.
-        self.check_budget(v)?;
-        let list = self.inner.neighbors(v)?;
-        self.record(v);
-        Ok(list)
+        self.metered(v, |inner| inner.neighbors(v))
+    }
+
+    /// Meters exactly like [`neighbors`](Self::neighbors) but asks the
+    /// wrapped network for the degree only, so no layer below has to copy
+    /// the list out.
+    fn degree(&self, v: NodeId) -> Result<usize> {
+        self.metered(v, |inner| inner.degree(v))
     }
 
     /// Charges `v` to this view exactly as [`neighbors`](Self::neighbors)
     /// would (same budget check, same counters) without querying the
     /// wrapped network, which is never told.
     fn charge(&self, v: NodeId) -> Result<()> {
-        self.check_budget(v)?;
-        self.record(v);
-        Ok(())
+        self.counter.charge(v).map(drop)
+    }
+
+    /// [`charge`](Self::charge)s the whole list under one counter lock,
+    /// stopping at the first budget failure with the stats and error the
+    /// one-by-one loop would give.
+    fn charge_all(&self, nodes: &[NodeId]) -> Result<()> {
+        self.counter.charge_all(nodes)
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {

@@ -52,6 +52,10 @@ impl<N: SocialNetwork> SocialNetwork for Rebased<N> {
         self.inner.charge(v)
     }
 
+    fn charge_all(&self, nodes: &[NodeId]) -> Result<()> {
+        self.inner.charge_all(nodes)
+    }
+
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         self.inner.attribute(name, v)
     }

@@ -18,11 +18,10 @@
 //! Sums run in BFS order, so every build is bit-identical.
 
 use crate::config::WalkEstimateConfig;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use wnw_access::sync::lock;
 use wnw_access::{Result, SocialNetwork};
-use wnw_graph::NodeId;
+use wnw_graph::{NodeId, NodeMap};
 use wnw_mcmc::RandomWalkKind;
 
 /// Exact sampling probabilities within the `h`-hop neighborhood of a start
@@ -34,7 +33,7 @@ pub struct InitialCrawl {
     /// Crawled nodes in BFS order, which is also the order they were queried.
     order: Vec<NodeId>,
     /// Node → its position in `order`.
-    index: HashMap<NodeId, u32>,
+    index: NodeMap<u32>,
     /// `degrees[i]` is the degree of `order[i]`.
     degrees: Vec<usize>,
     /// `probabilities[t][i]` is the exact `p_t(order[i])`, for `t ≤ depth`.
@@ -55,7 +54,7 @@ impl InitialCrawl {
         // their neighbor lists, as positions in `order`, for the propagation
         // below; the nodes at depth h come last and need only a degree.
         let mut order = vec![start];
-        let mut index = HashMap::from([(start, 0u32)]);
+        let mut index = NodeMap::from_iter([(start, 0u32)]);
         let mut adjacency: Vec<Vec<u32>> = Vec::new();
         for _ in 0..depth {
             for u in adjacency.len()..order.len() {
@@ -158,9 +157,10 @@ pub struct CrawlSlot(Mutex<Option<Arc<InitialCrawl>>>);
 impl CrawlSlot {
     /// The initial crawl `config` asks for around `start` (`None` if none),
     /// charged to `osn`. The first caller builds and stores it; every later
-    /// caller [charges](SocialNetwork::charge) its nodes to its own `osn` in
-    /// BFS order, so its counters and budget stop where its own build would
-    /// have. A failed build leaves the slot empty for the next caller.
+    /// caller [charges](SocialNetwork::charge_all) its nodes to its own `osn`
+    /// in BFS order, in one call, so its counters and budget stop where its
+    /// own build would have. A failed build leaves the slot empty for the
+    /// next caller.
     pub fn acquire<N: SocialNetwork + ?Sized>(
         &self,
         osn: &N,
@@ -178,9 +178,7 @@ impl CrawlSlot {
         if let Some(crawl) = slot.clone() {
             drop(slot);
             debug_assert_eq!((crawl.start, crawl.depth), (start, depth));
-            for &v in &crawl.order {
-                osn.charge(v)?;
-            }
+            osn.charge_all(&crawl.order)?;
             return Ok(Some(crawl));
         }
         let crawl = Arc::new(InitialCrawl::build(osn, kind, start, depth)?);

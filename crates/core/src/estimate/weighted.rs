@@ -38,10 +38,8 @@ pub fn selection_distribution(
     let k = candidates.len();
     assert!(k > 0, "selection over an empty candidate set");
     let epsilon = epsilon.clamp(0.0, 1.0);
-    let counts: Vec<u64> = candidates
-        .iter()
-        .map(|&c| history.count_at(c, step))
-        .collect();
+    let mut counts = vec![0u64; k];
+    history.add_counts_at(candidates, step, &mut counts);
     let total: u64 = counts.iter().sum();
     let mut probs = vec![epsilon / k as f64; k];
     if total == 0 {

@@ -39,12 +39,21 @@
 //! admission — deterministic given an admission order — and the default
 //! isolated policy (no snapshot, no publication) keeps today's
 //! thread-count- and co-load-invariance exactly.
+//!
+//! # Hot path
+//!
+//! Every backward step reads the counts of all its candidates at one step,
+//! so [`HistoryView::add_counts_at`] takes the whole candidate list: each
+//! implementation finds the step's map (and takes a shared history's stripe
+//! lock) once per call instead of once per candidate. Per-step maps are
+//! [`NodeMap`]s, hashed by node id without SipHash (node ids are dense
+//! graph-internal indices; see [`wnw_graph::hash`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use wnw_access::sync::{read, write};
-use wnw_graph::NodeId;
+use wnw_graph::{NodeId, NodeMap};
 use wnw_mcmc::RandomWalkKind;
 
 /// Read access to per-(node, step) visit counts of past forward walks.
@@ -52,8 +61,34 @@ pub trait HistoryView: std::fmt::Debug {
     /// Number of recorded walks that were at `node` at step `step`.
     fn count_at(&self, node: NodeId, step: usize) -> u64;
 
+    /// Adds [`count_at`](Self::count_at)`(nodes[i], step)` to `out[i]` for
+    /// every `i`, doing the per-step work (map lookup, stripe lock) once per
+    /// call; the result must equal the per-node loop.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `nodes`.
+    fn add_counts_at(&self, nodes: &[NodeId], step: usize, out: &mut [u64]);
+
     /// Number of walks recorded (`n_hw`).
     fn walk_count(&self) -> u64;
+}
+
+/// Adds `weight` of each node's count in `counts` (one step's map, if any)
+/// to `out`. Absent nodes add nothing, so `weight(0)` must be 0.
+fn add_from_map(
+    counts: Option<&NodeMap<u64>>,
+    nodes: &[NodeId],
+    out: &mut [u64],
+    weight: impl Fn(u64) -> u64,
+) {
+    let out = &mut out[..nodes.len()];
+    if let Some(counts) = counts {
+        for (slot, node) in out.iter_mut().zip(nodes) {
+            if let Some(&count) = counts.get(node) {
+                *slot += weight(count);
+            }
+        }
+    }
 }
 
 /// Per-step visit counts across all recorded forward walks.
@@ -61,7 +96,7 @@ pub trait HistoryView: std::fmt::Debug {
 pub struct WalkHistory {
     /// `counts[t][v]` = number of recorded walks that were at node `v` at
     /// step `t`.
-    counts: Vec<HashMap<NodeId, u64>>,
+    counts: Vec<NodeMap<u64>>,
     /// Number of walks recorded.
     walks: u64,
 }
@@ -78,7 +113,7 @@ impl WalkHistory {
             return;
         }
         if self.counts.len() < path.len() {
-            self.counts.resize_with(path.len(), HashMap::new);
+            self.counts.resize_with(path.len(), NodeMap::default);
         }
         for (step, &node) in path.iter().enumerate() {
             *self.counts[step].entry(node).or_insert(0) += 1;
@@ -131,6 +166,10 @@ impl HistoryView for WalkHistory {
         WalkHistory::count_at(self, node, step)
     }
 
+    fn add_counts_at(&self, nodes: &[NodeId], step: usize, out: &mut [u64]) {
+        add_from_map(self.counts.get(step), nodes, out, |c| c);
+    }
+
     fn walk_count(&self) -> u64 {
         WalkHistory::walk_count(self)
     }
@@ -158,7 +197,7 @@ pub const STRIPE_COUNT: usize = 16;
 #[derive(Debug, Default)]
 pub struct SharedWalkHistory {
     /// `stripes[t % STRIPE_COUNT]` holds `step → node → count` for its steps.
-    stripes: [RwLock<HashMap<usize, HashMap<NodeId, u64>>>; STRIPE_COUNT],
+    stripes: [RwLock<HashMap<usize, NodeMap<u64>>>; STRIPE_COUNT],
     walks: AtomicU64,
 }
 
@@ -206,7 +245,7 @@ impl SharedWalkHistory {
     /// Counts are additive, so the export is identical whatever order the
     /// walkers merged in.
     pub fn export(&self) -> WalkHistory {
-        let mut per_step: HashMap<usize, HashMap<NodeId, u64>> = HashMap::new();
+        let mut per_step: HashMap<usize, NodeMap<u64>> = HashMap::new();
         for stripe in &self.stripes {
             for (&step, nodes) in read(stripe).iter() {
                 per_step.insert(step, nodes.clone());
@@ -214,7 +253,7 @@ impl SharedWalkHistory {
         }
         let len = per_step.keys().max().map_or(0, |&s| s + 1);
         let mut counts = Vec::with_capacity(len);
-        counts.resize_with(len, HashMap::new);
+        counts.resize_with(len, NodeMap::default);
         for (step, nodes) in per_step {
             counts[step] = nodes;
         }
@@ -232,6 +271,11 @@ impl HistoryView for SharedWalkHistory {
             .and_then(|m| m.get(&node))
             .copied()
             .unwrap_or(0)
+    }
+
+    fn add_counts_at(&self, nodes: &[NodeId], step: usize, out: &mut [u64]) {
+        let stripe = read(&self.stripes[step % STRIPE_COUNT]);
+        add_from_map(stripe.get(&step), nodes, out, |c| c);
     }
 
     fn walk_count(&self) -> u64 {
@@ -257,6 +301,11 @@ impl<'a> OverlayHistory<'a> {
 impl HistoryView for OverlayHistory<'_> {
     fn count_at(&self, node: NodeId, step: usize) -> u64 {
         self.base.count_at(node, step) + self.pending.count_at(node, step)
+    }
+
+    fn add_counts_at(&self, nodes: &[NodeId], step: usize, out: &mut [u64]) {
+        self.base.add_counts_at(nodes, step, out);
+        self.pending.add_counts_at(nodes, step, out);
     }
 
     fn walk_count(&self) -> u64 {
@@ -328,7 +377,7 @@ pub struct FrozenHistory {
     /// `Arc`-shared with the store's live aggregate (and with earlier
     /// snapshots): a publication clones only the steps its delta touches,
     /// so snapshot cost does not grow with the steps left untouched.
-    counts: Vec<Arc<HashMap<NodeId, u64>>>,
+    counts: Vec<Arc<NodeMap<u64>>>,
     /// Number of published walks aggregated.
     walks: u64,
     /// Store epoch this snapshot was frozen at.
@@ -362,6 +411,10 @@ impl HistoryView for FrozenHistory {
             .and_then(|m| m.get(&node))
             .copied()
             .unwrap_or(0)
+    }
+
+    fn add_counts_at(&self, nodes: &[NodeId], step: usize, out: &mut [u64]) {
+        add_from_map(self.counts.get(step).map(|m| &**m), nodes, out, |c| c);
     }
 
     fn walk_count(&self) -> u64 {
@@ -401,7 +454,7 @@ pub struct HistoryStoreStats {
 /// footprint instead of re-cloning the whole accumulated history.
 #[derive(Debug, Default)]
 struct KeyAggregate {
-    counts: Vec<Arc<HashMap<NodeId, u64>>>,
+    counts: Vec<Arc<NodeMap<u64>>>,
     walks: u64,
     acquisition_cost: u64,
     /// Copy-on-publish snapshot handed to admitted jobs.
@@ -569,6 +622,14 @@ impl HistoryView for SeededHistory<'_> {
         self.correction.apply(self.base.count_at(node, step)) + self.live.count_at(node, step)
     }
 
+    /// The correction applies to each node's base count, as in
+    /// [`count_at`](HistoryView::count_at), never to a sum of counts.
+    fn add_counts_at(&self, nodes: &[NodeId], step: usize, out: &mut [u64]) {
+        let base = self.base.counts.get(step).map(|m| &**m);
+        add_from_map(base, nodes, out, |c| self.correction.apply(c));
+        self.live.add_counts_at(nodes, step, out);
+    }
+
     fn walk_count(&self) -> u64 {
         self.correction.apply(self.base.walks) + self.live.walk_count()
     }
@@ -698,6 +759,14 @@ impl HistoryView for HistoryViewRef<'_> {
             HistoryViewRef::Local(h) => h.count_at(node, step),
             HistoryViewRef::Overlay(o) => o.count_at(node, step),
             HistoryViewRef::Seeded(s) => s.count_at(node, step),
+        }
+    }
+
+    fn add_counts_at(&self, nodes: &[NodeId], step: usize, out: &mut [u64]) {
+        match self {
+            HistoryViewRef::Local(h) => h.add_counts_at(nodes, step, out),
+            HistoryViewRef::Overlay(o) => o.add_counts_at(nodes, step, out),
+            HistoryViewRef::Seeded(s) => s.add_counts_at(nodes, step, out),
         }
     }
 
@@ -941,6 +1010,100 @@ mod tests {
         assert_eq!(ReuseCorrection::default(), ReuseCorrection::Reweighted);
         assert_eq!(ReuseCorrection::Reweighted.label(), "reweighted");
         assert_eq!(ReuseCorrection::Raw.label(), "raw");
+    }
+
+    /// `count` random walks of 1..=8 nodes over ids `0..20`.
+    fn random_walks(seed: u64, count: usize) -> WalkHistory {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut h = WalkHistory::new();
+        for _ in 0..count {
+            let len = rng.gen_range(1..9usize);
+            let path: Vec<NodeId> = (0..len).map(|_| NodeId(rng.gen_range(0..20u32))).collect();
+            h.record_walk(&path);
+        }
+        h
+    }
+
+    /// Checks `add_counts_at` against per-node `count_at` on recorded and
+    /// unseen nodes, at every recorded step and past the recorded length,
+    /// adding onto a non-zero output.
+    fn assert_batched_reads_match(view: &dyn HistoryView, label: &str) {
+        let nodes: Vec<NodeId> = (0..20).chain([20, 500, 7, 7]).map(NodeId).collect();
+        for step in 0..12 {
+            let mut out: Vec<u64> = (0..nodes.len() as u64).map(|i| i * 1000).collect();
+            view.add_counts_at(&nodes, step, &mut out);
+            for (i, &node) in nodes.iter().enumerate() {
+                let want = i as u64 * 1000 + view.count_at(node, step);
+                assert_eq!(out[i], want, "{label}: node {node} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_reads_equal_per_node_counts_for_every_view() {
+        for seed in 0..4 {
+            let local = random_walks(seed, 40);
+            let shared = SharedWalkHistory::shared();
+            shared.merge(&random_walks(seed + 100, 30));
+            let pending = random_walks(seed + 200, 10);
+            let store = HistoryStore::new();
+            store.publish(key(), &random_walks(seed + 300, 25), 1);
+            let frozen = store.snapshot(&key()).unwrap();
+
+            assert_batched_reads_match(&local, "local");
+            assert_batched_reads_match(&*shared, "shared");
+            assert_batched_reads_match(&*frozen, "frozen");
+            assert_batched_reads_match(&OverlayHistory::new(&shared, &pending), "overlay");
+
+            let mut handles = vec![
+                HistoryHandle::Local(local.clone()),
+                HistoryHandle::Shared {
+                    shared: shared.clone(),
+                    pending: pending.clone(),
+                },
+            ];
+            for correction in [ReuseCorrection::Reweighted, ReuseCorrection::Raw] {
+                let mut seeded = HistoryHandle::seeded(frozen.clone(), correction, shared.clone());
+                for step in 0..3 {
+                    seeded.record_walk(&[NodeId(0), NodeId(step), NodeId(step + 1)]);
+                }
+                handles.push(seeded);
+            }
+            for handle in &handles {
+                let view = handle.view();
+                if let HistoryViewRef::Seeded(seeded) = view {
+                    assert_batched_reads_match(&seeded, "seeded");
+                }
+                assert_batched_reads_match(&view, "view ref");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_batched_reads_correct_each_count_not_the_sum() {
+        // Two base nodes with one visit each: per-node rounding keeps
+        // ceil(1/2) = 1 for each, where rounding the sum would give 1 total.
+        let store = HistoryStore::new();
+        store.publish(
+            key(),
+            &walks(&[&[NodeId(0), NodeId(1)], &[NodeId(0), NodeId(2)]]),
+            4,
+        );
+        let base = store.snapshot(&key()).unwrap();
+        let handle = HistoryHandle::seeded(
+            base,
+            ReuseCorrection::Reweighted,
+            SharedWalkHistory::shared(),
+        );
+        let view = handle.view();
+        let nodes = [NodeId(1), NodeId(2)];
+        let mut out = [0u64; 2];
+        view.add_counts_at(&nodes, 1, &mut out);
+        assert_eq!(out, [1, 1]);
+        assert_eq!(out, nodes.map(|n| view.count_at(n, 1)));
+        assert_eq!(ReuseCorrection::Reweighted.apply(2), 1);
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   [`estimate::estimator`] (Algorithm 3, variance-driven budget
 //!   allocation);
 //! * [`history`] — per-step visit counts of past forward walks, feeding the
-//!   weighted-sampling heuristic;
+//!   weighted-sampling heuristic. Counts live in [`wnw_graph::NodeMap`]s and
+//!   are read one candidate list per call
+//!   ([`HistoryView::add_counts_at`]);
 //! * [`config`] / [`sampler`] — the assembled WALK-ESTIMATE sampler and its
 //!   ablation variants (WE-None, WE-Crawl, WE-Weighted, WE), implementing the
 //!   same [`Sampler`](wnw_mcmc::Sampler) trait as the traditional baselines.

@@ -13,6 +13,10 @@
 //!   only graph type: access backends serve it, and `wnw-catalog` writes its
 //!   two raw arrays ([`Graph::offsets`], [`Graph::adjacency`]) to binary
 //!   catalogs and reassembles them with [`Graph::from_parts`],
+//! * [`NodeMap`] / [`NodeSet`] — hash maps and sets keyed by [`NodeId`] with
+//!   an unkeyed multiplicative hasher ([`NodeIdHasher`]) instead of SipHash,
+//!   for the per-node lookups on the samplers' hot paths (node ids are
+//!   dense graph-internal indices, so keyed hashing buys nothing there),
 //! * [`GraphBuilder`] — an edge-list accumulator that deduplicates parallel
 //!   edges and self-loops,
 //! * [`generators`] — the theoretical graph models used in the paper's case
@@ -51,6 +55,7 @@ pub mod builder;
 pub mod error;
 pub mod generators;
 pub mod graph;
+pub mod hash;
 pub mod io;
 pub mod metrics;
 pub mod node;
@@ -59,6 +64,7 @@ pub use attributes::{AttributeTable, NodeAttributes};
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
+pub use hash::{NodeIdHasher, NodeMap, NodeSet};
 pub use node::NodeId;
 
 /// Convenience result alias used throughout the crate.

@@ -58,10 +58,12 @@ impl ScalingFactorPolicy {
                 if clean.is_empty() {
                     return None;
                 }
-                clean.sort_by(|a, b| a.partial_cmp(b).expect("filtered NaNs"));
                 let pct = pct.clamp(0.0, 100.0);
                 let idx = ((pct / 100.0) * (clean.len() - 1) as f64).round() as usize;
-                Some(clean[idx])
+                // The value a full sort would put at `idx`, in linear time.
+                let (_, &mut value, _) = clean
+                    .select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("filtered NaNs"));
+                Some(value)
             }
         }
     }
@@ -112,6 +114,31 @@ mod tests {
             Some(100.0)
         );
         assert_eq!(policy.resolve(&[]), None);
+    }
+
+    #[test]
+    fn percentile_selection_equals_the_sorted_index_value() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in [1usize, 2, 3, 10, 97, 4096] {
+            // Few distinct values, so ties are common.
+            let ratios: Vec<f64> = (0..len)
+                .map(|_| rng.gen_range(1..20) as f64 / 8.0)
+                .collect();
+            let mut sorted = ratios.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for pct in [0.0, 10.0, 50.0, 100.0] {
+                let idx = ((pct / 100.0) * (len - 1) as f64).round() as usize;
+                assert_eq!(
+                    ScalingFactorPolicy::Percentile(pct).resolve(&ratios),
+                    Some(sorted[idx]),
+                    "len {len} pct {pct}"
+                );
+            }
+        }
+        assert_eq!(
+            ScalingFactorPolicy::Percentile(10.0).resolve(&[0.25]),
+            Some(0.25)
+        );
     }
 
     #[test]
