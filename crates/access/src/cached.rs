@@ -27,7 +27,7 @@
 //! so a walker retrying after an error observes the wrapped network's fresh
 //! answer.
 //!
-//! The cache freezes each node's **first** successful response — exactly the
+//! The cache keeps each node's **first** successful *list* — exactly the
 //! paper's cost model, where a crawler stores responses locally and re-reads
 //! its copy for free. Under a per-invocation-randomised interface
 //! ([`NeighborRestriction::RandomSubset`](crate::NeighborRestriction)), later
@@ -35,6 +35,14 @@
 //! [`SimulatedOsn`](crate::SimulatedOsn) derives that draw from a per-node
 //! call index, keeping it (and everything sampled through the cache)
 //! deterministic under concurrency.
+//!
+//! A `degree` miss asks the inner network for the degree alone and keeps
+//! the answer as a degree, so a node only ever asked for its degree (the
+//! depth-h ring of an initial crawl) never has its list built or stored. A
+//! later `neighbors` call on such a node fetches the list and stores it in
+//! place of the degree. The cache's own counters do not tell the two kinds
+//! apart: the list fetch counts as a hit on a visited node, as any repeat
+//! query does. The inner network does see a second call.
 
 use crate::counter::{QueryCounter, QueryStats};
 use crate::interface::SocialNetwork;
@@ -61,8 +69,33 @@ pub const SHARD_COUNT: usize = 64;
 #[derive(Debug)]
 pub struct CachedNetwork<N> {
     inner: N,
-    shards: Vec<Mutex<NodeMap<Vec<NodeId>>>>,
+    shards: Vec<Mutex<NodeMap<Entry>>>,
     counter: QueryCounter,
+}
+
+/// What the cache holds for a node: its degree alone, or its whole list.
+#[derive(Debug)]
+enum Entry {
+    Degree(usize),
+    List(Vec<NodeId>),
+}
+
+impl Entry {
+    /// The list this entry answers a `neighbors` query with, if it has one.
+    fn list(&self) -> Option<Vec<NodeId>> {
+        match self {
+            Entry::Degree(_) => None,
+            Entry::List(list) => Some(list.clone()),
+        }
+    }
+
+    /// The answer to a `degree` query, which either kind of entry has.
+    fn degree(&self) -> Option<usize> {
+        Some(match self {
+            Entry::Degree(degree) => *degree,
+            Entry::List(list) => list.len(),
+        })
+    }
 }
 
 impl<N: SocialNetwork> CachedNetwork<N> {
@@ -87,13 +120,13 @@ impl<N: SocialNetwork> CachedNetwork<N> {
         self.inner
     }
 
-    /// Number of neighbor lists currently cached.
+    /// Number of nodes with a cached answer, a degree or a list.
     pub fn cached_nodes(&self) -> usize {
         self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
-    /// Whether `v`'s neighbor list is cached (i.e. a further query for it is
-    /// free).
+    /// Whether `v` has a cached answer, a degree or a list (i.e. a further
+    /// query for it is free under the paper's cost model).
     pub fn is_cached(&self, v: NodeId) -> bool {
         lock(&self.shards[Self::shard_of(v)]).contains_key(&v)
     }
@@ -106,19 +139,26 @@ impl<N: SocialNetwork> CachedNetwork<N> {
 }
 
 impl<N: SocialNetwork> CachedNetwork<N> {
-    /// Answers `answer(N(v))` from the cache, fetching and storing `N(v)`
-    /// first on a miss, and records the call. The miss is fetched while the
-    /// shard lock is held so a racing walker cannot issue a duplicate inner
-    /// query for the same node.
-    fn lookup<T>(&self, v: NodeId, answer: impl FnOnce(&[NodeId]) -> T) -> Result<T> {
+    /// Answers a query of `v` from its shard: `read` takes the answer off
+    /// an entry, or gives `None` when the stored entry cannot answer it.
+    /// Then `fetch` asks the wrapped network for an entry that can, and it
+    /// is stored in place. The fetch runs while the shard lock is held so a
+    /// racing walker cannot issue a duplicate inner query for the same node.
+    /// The call is recorded only once it is answered.
+    fn lookup<T>(
+        &self,
+        v: NodeId,
+        read: impl Fn(&Entry) -> Option<T>,
+        fetch: impl FnOnce(&N) -> Result<Entry>,
+    ) -> Result<T> {
         let mut guard = lock(&self.shards[Self::shard_of(v)]);
-        let answer = match guard.get(&v) {
-            Some(cached) => answer(cached),
+        let answer = match guard.get(&v).and_then(&read) {
+            Some(answer) => answer,
             None => {
-                let list = self.inner.neighbors(v)?;
-                let answer = answer(&list);
-                guard.insert(v, list);
-                answer
+                let entry = fetch(&self.inner)?;
+                let fetched = read(&entry).expect("a fetched entry answers its query");
+                guard.insert(v, entry);
+                fetched
             }
         };
         drop(guard);
@@ -132,14 +172,16 @@ impl<N: SocialNetwork> CachedNetwork<N> {
 }
 
 impl<N: SocialNetwork> SocialNetwork for CachedNetwork<N> {
+    /// Answers from a stored list. On a miss, or when only the degree is
+    /// stored, fetches the list and stores it in place.
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
-        self.lookup(v, <[NodeId]>::to_vec)
+        self.lookup(v, Entry::list, |inner| inner.neighbors(v).map(Entry::List))
     }
 
-    /// The length of `v`'s cached list, without copying it out. Counters
-    /// and cache contents match the `neighbors(v)?.len()` path.
+    /// Answers from either kind of entry. On a miss, asks the wrapped
+    /// network for the degree alone and stores it as a degree.
     fn degree(&self, v: NodeId) -> Result<usize> {
-        self.lookup(v, <[NodeId]>::len)
+        self.lookup(v, Entry::degree, |inner| inner.degree(v).map(Entry::Degree))
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {

@@ -21,9 +21,9 @@
 //! and fail every call, deterministically exhausting any retry budget (the
 //! knob chaos scenarios use to force a circuit-breaker trip).
 //!
-//! Only neighbor fetches are faulted: attribute reads model parsing a
-//! profile page already retrieved, and the paper charges (and so this crate
-//! faults) only the queries that hit the server.
+//! Only neighbor and degree queries are faulted: attribute reads model
+//! parsing a profile page already retrieved, and the paper charges (and so
+//! this crate faults) only the queries that hit the server.
 
 use crate::counter::QueryStats;
 use crate::error::{AccessError, TransientKind};
@@ -372,14 +372,26 @@ impl<N: SocialNetwork> FaultyNetwork<N> {
     pub fn inner(&self) -> &N {
         &self.inner
     }
+
+    /// Fails this call of `v` if the schedule injects a fault into it, and
+    /// otherwise answers it with `query` on the wrapped network.
+    fn faulted<T>(&self, v: NodeId, query: impl FnOnce(&N) -> Result<T>) -> Result<T> {
+        match self.injector.next_fault(v) {
+            Some(fault) => Err(fault),
+            None => query(&self.inner),
+        }
+    }
 }
 
 impl<N: SocialNetwork> SocialNetwork for FaultyNetwork<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
-        if let Some(fault) = self.injector.next_fault(v) {
-            return Err(fault);
-        }
-        self.inner.neighbors(v)
+        self.faulted(v, |inner| inner.neighbors(v))
+    }
+
+    /// A degree query hits the server like a list query, so it draws from
+    /// the same per-node fault schedule before reaching the wrapped network.
+    fn degree(&self, v: NodeId) -> Result<usize> {
+        self.faulted(v, |inner| inner.degree(v))
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {

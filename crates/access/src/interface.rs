@@ -19,9 +19,14 @@ pub trait SocialNetwork {
     /// if `v` has not been fetched before.
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>>;
 
-    /// Returns the degree `|N(v)|`, charging the same cost as
-    /// [`neighbors`](Self::neighbors) (the interface returns the full list;
-    /// degree is just its length).
+    /// Returns the degree `|N(v)|`: a query of `v`, charged exactly like
+    /// [`neighbors`](Self::neighbors)`(v)`, whose answer is the length of
+    /// the list `neighbors(v)` would return.
+    ///
+    /// The default fetches that list and measures it. A backend overrides
+    /// this when it can answer without building the list, and every wrapper
+    /// forwards it through its own metering, faults and retries, so a
+    /// degree asked at the top reaches the backend as a degree.
     fn degree(&self, v: NodeId) -> Result<usize> {
         Ok(self.neighbors(v)?.len())
     }

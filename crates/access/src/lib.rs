@@ -17,12 +17,15 @@
 //! * [`SimulatedOsn`] — wraps a [`wnw_graph::Graph`] behind the interface,
 //!   with a neighbor cache, optional [`NeighborRestriction`]s (Section 6.3:
 //!   random-k, fixed-k, truncated neighbor lists with bidirectional-edge
-//!   checking), and an optional [`RateLimiter`];
+//!   checking), and an optional [`RateLimiter`]. It answers `degree` from
+//!   the CSR offsets without building the list where the restriction
+//!   allows;
 //! * [`QueryBudget`] / [`AccessError`] — hard budget enforcement so
 //!   experiments can ask "what does each sampler deliver for X queries?";
 //! * [`CachedNetwork`] — a sharded, lock-striped neighbor cache any number
 //!   of concurrent walkers can share, with exact unique-node accounting
-//!   under contention;
+//!   under contention. It keeps a `degree` answer as a degree until some
+//!   caller asks for the list;
 //! * [`MeteredNetwork`] — an independent per-caller metering and budget view
 //!   over a shared network (how the engine gives each walker its own
 //!   deterministic budget share). It charges a whole list in one

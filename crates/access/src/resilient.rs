@@ -352,8 +352,9 @@ impl<N: SocialNetwork> ResilientNetwork<N> {
         (base + x % (span + 1)).min(policy.max_backoff_secs.max(base))
     }
 
-    /// The retry loop around one neighbor fetch.
-    fn fetch_with_retries(&self, v: NodeId) -> Result<Vec<NodeId>> {
+    /// The retry loop around one query of `v`, answered by `query` on the
+    /// wrapped network (a list or a degree fetch).
+    fn fetch_with_retries<T>(&self, v: NodeId, query: impl Fn(&N) -> Result<T>) -> Result<T> {
         let shared = &self.shared;
         let policy = shared.policy;
         shared.calls.fetch_add(1, Ordering::Relaxed);
@@ -364,14 +365,14 @@ impl<N: SocialNetwork> ResilientNetwork<N> {
         loop {
             // Each attempt costs a simulated second of request time.
             shared.clock_secs.fetch_add(1, Ordering::Relaxed);
-            match self.inner.neighbors(v) {
-                Ok(neighbors) => {
+            match query(&self.inner) {
+                Ok(answer) => {
                     shared.breaker_success();
                     shared.retries_per_call.record(u64::from(attempt));
                     if attempt > 0 {
                         shared.recovered.fetch_add(1, Ordering::Relaxed);
                     }
-                    return Ok(neighbors);
+                    return Ok(answer);
                 }
                 Err(err) if err.is_retryable() => {
                     shared.faults_seen.fetch_add(1, Ordering::Relaxed);
@@ -414,7 +415,13 @@ impl<N: SocialNetwork> ResilientNetwork<N> {
 
 impl<N: SocialNetwork> SocialNetwork for ResilientNetwork<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
-        self.fetch_with_retries(v)
+        self.fetch_with_retries(v, |inner| inner.neighbors(v))
+    }
+
+    /// Retries a degree query under the same policy, breaker and counters
+    /// as a list query, without fetching the list.
+    fn degree(&self, v: NodeId) -> Result<usize> {
+        self.fetch_with_retries(v, |inner| inner.degree(v))
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {

@@ -9,7 +9,7 @@
 use crate::counter::{QueryBudget, QueryCounter, QueryStats};
 use crate::error::AccessError;
 use crate::interface::SocialNetwork;
-use crate::rate_limit::RateLimiter;
+use crate::rate_limit::{RateLimitMode, RateLimiter};
 use crate::restrictions::NeighborRestriction;
 use crate::sync::lock;
 use crate::Result;
@@ -85,21 +85,33 @@ impl SimulatedOsn {
         self.restriction
     }
 
-    /// Fetches the restricted neighbor view of `v`, charging the query.
-    fn fetch_restricted(&self, v: NodeId) -> Result<Vec<NodeId>> {
+    /// Admits one query of `v`, shared by list and degree queries. It
+    /// checks, in order: an unknown node, the budget, the rate limiter, and
+    /// then charges the query.
+    fn admit(&self, v: NodeId) -> Result<()> {
         if !self.graph.contains(v) {
             return Err(AccessError::UnknownNode(v));
         }
-        if self.limiter.mode() == crate::rate_limit::RateLimitMode::Reject {
+        if self.limiter.mode() == RateLimitMode::Reject {
             // A rejecting limiter turns the caller away *before* the budget
             // is charged — a 429 costs no quota — and its error carries the
-            // `retry_after_secs` a retry policy honors.
-            self.limiter.acquire()?;
+            // `retry_after_secs` a retry policy honors. A query the budget
+            // refuses never reaches the limiter, so it burns no slot; the
+            // charge below records the refused call.
+            if self.counter.check_charge(v).is_ok() {
+                self.limiter.acquire()?;
+            }
             self.counter.record_neighbor_query(v)?;
         } else {
             self.counter.record_neighbor_query(v)?;
             self.limiter.record_call();
         }
+        Ok(())
+    }
+
+    /// Fetches the restricted neighbor view of `v`, charging the query.
+    fn fetch_restricted(&self, v: NodeId) -> Result<Vec<NodeId>> {
+        self.admit(v)?;
         // Only a random subset varies per invocation; every other
         // restriction ignores the index, so it is neither counted nor stored.
         let invocation = match self.restriction {
@@ -151,6 +163,25 @@ impl SocialNetwork for SimulatedOsn {
             }
         }
         Ok(mutual)
+    }
+
+    /// Answers from the CSR offsets where the restriction allows: `Full`
+    /// returns the graph degree and `RandomSubset { k }` returns
+    /// `min(degree, k)`, the size of every draw. The random case takes no
+    /// draw and leaves the node's invocation index alone, so the list a
+    /// later `neighbors(v)` returns does not depend on whether a degree
+    /// query came first. The mutual-edge check of `FixedSubset` and
+    /// `Truncated` needs the list, so those measure it.
+    fn degree(&self, v: NodeId) -> Result<usize> {
+        let cap = match self.restriction {
+            NeighborRestriction::Full => usize::MAX,
+            NeighborRestriction::RandomSubset { k } => k,
+            NeighborRestriction::FixedSubset { .. } | NeighborRestriction::Truncated { .. } => {
+                return Ok(self.neighbors(v)?.len());
+            }
+        };
+        self.admit(v)?;
+        Ok(self.graph.degree(v).min(cap))
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
@@ -349,6 +380,40 @@ mod tests {
         osn.neighbors(NodeId(0)).unwrap();
         osn.neighbors(NodeId(0)).unwrap();
         assert_eq!(lock(&osn.fetch_counts).get(&NodeId(0)), Some(&2));
+    }
+
+    #[test]
+    fn random_subset_degree_leaves_fetch_counts_alone() {
+        let osn = SimulatedOsn::builder(barabasi_albert(100, 5, 3).unwrap())
+            .restriction(NeighborRestriction::RandomSubset { k: 3 })
+            .build();
+        for v in 0..100 {
+            let v = NodeId(v);
+            assert_eq!(osn.degree(v).unwrap(), osn.graph.degree(v).min(3));
+        }
+        assert!(lock(&osn.fetch_counts).is_empty());
+        assert_eq!(osn.query_cost(), 100);
+    }
+
+    #[test]
+    fn a_query_refused_by_the_budget_burns_no_rate_limit_slot() {
+        let osn = SimulatedOsn::builder(cycle(5))
+            .budget(QueryBudget(1))
+            .rate_limiter(RateLimiter::rejecting(crate::RateLimitPolicy {
+                requests_per_window: 2,
+                window_secs: 60,
+            }))
+            .build();
+        assert!(osn.neighbors(NodeId(0)).is_ok());
+        assert_eq!(
+            osn.neighbors(NodeId(1)).unwrap_err(),
+            AccessError::BudgetExhausted { budget: 1 }
+        );
+        // A free re-query still finds the window's second slot.
+        assert!(osn.neighbors(NodeId(0)).is_ok());
+        assert_eq!(osn.rate_limiter().total_calls(), 2);
+        assert_eq!(osn.rate_limiter().rejections(), 0);
+        assert_eq!(osn.query_stats().api_calls, 3);
     }
 
     #[test]

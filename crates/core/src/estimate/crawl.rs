@@ -16,6 +16,11 @@
 //! every walker: one walker queries the neighborhood, and each of the others
 //! is charged the same nodes in the same order without querying them again.
 //! Sums run in BFS order, so every build is bit-identical.
+//!
+//! The nodes at depth `h` are list-free end to end: the crawl asks them for
+//! a degree, every access layer forwards it as a degree, the shared cache
+//! keeps it as a degree, and the simulated backend answers from its CSR
+//! offsets. Only a walker that later steps onto such a node fetches its list.
 
 use crate::config::WalkEstimateConfig;
 use std::sync::{Arc, Mutex};

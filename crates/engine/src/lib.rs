@@ -260,6 +260,41 @@ mod tests {
     }
 
     #[test]
+    fn degree_and_list_queries_stay_deterministic_at_every_width() {
+        // The initial crawl asks its depth-h ring for degrees only, and the
+        // walkers later ask some of those nodes for lists. Under a random
+        // subset the kept list must not depend on which request came first.
+        use wnw_access::{NeighborRestriction, SimulatedOsn};
+        let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 16, 41)
+            .with_walkers(4)
+            .with_diameter_estimate(5);
+        for restriction in [
+            NeighborRestriction::RandomSubset { k: 3 },
+            NeighborRestriction::Full,
+        ] {
+            let network = SimulatedOsn::builder(barabasi_albert(300, 4, 23).unwrap())
+                .restriction(restriction)
+                .build();
+            let runs: Vec<JobReport> = [1usize, 2, 4]
+                .iter()
+                .map(|&t| {
+                    network.reset_counters();
+                    Engine::with_threads(t).run(&network, &job).unwrap()
+                })
+                .collect();
+            assert_eq!(runs[0].len(), 16, "{restriction:?}");
+            for later in &runs[1..] {
+                for (a, b) in runs[0].walkers.iter().zip(&later.walkers) {
+                    assert_eq!(a.samples, b.samples, "{restriction:?} walker {}", a.walker);
+                    assert_eq!(a.stats, b.stats, "{restriction:?} walker {}", a.walker);
+                }
+                assert_eq!(runs[0].sorted_nodes(), later.sorted_nodes());
+                assert_eq!(runs[0].pool_stats, later.pool_stats, "{restriction:?}");
+            }
+        }
+    }
+
+    #[test]
     fn walker_panic_propagates_instead_of_deadlocking() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use wnw_access::counter::QueryStats;
